@@ -4,7 +4,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use htims_core::acquisition::{acquire, AcquireOptions, GateSchedule};
 use htims_core::deconvolution::Deconvolver;
-use htims_core::hybrid::{run_hybrid, FrameGenerator, HybridConfig};
+use htims_core::graph::GraphSpec;
+use htims_core::hybrid::FrameGenerator;
+use htims_core::pipeline::DeconvBackend;
 use ims_fpga::deconv::{DeconvConfig, DeconvCore};
 use ims_physics::{Instrument, Workload};
 use ims_prs::MSequence;
@@ -60,15 +62,19 @@ fn bench_block(c: &mut Criterion) {
         })
     });
 
-    // The whole unified pipeline graph, end to end (threaded executor):
+    // The whole unified pipeline graph, end to end (scheduled executor):
     // source → link → accumulate → deconvolve over a small batch.
     let gen = FrameGenerator::new(&data, &inst.adc, 3);
-    let cfg = HybridConfig {
+    let spec = GraphSpec {
         frames: 2,
-        ..Default::default()
+        blocks: 1,
+        ..GraphSpec::e3()
     };
-    group.bench_function("unified_pipeline_threaded", |b| {
-        b.iter(|| black_box(run_hybrid(&gen, &seq, &cfg)))
+    group.bench_function("unified_pipeline_scheduled", |b| {
+        b.iter(|| {
+            let backend = DeconvBackend::fpga(&seq, DeconvConfig::default());
+            black_box(spec.pipeline(&gen, &seq, backend).run_scheduled())
+        })
     });
     group.finish();
 }

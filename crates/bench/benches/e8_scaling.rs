@@ -3,8 +3,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use htims_core::acquisition::{acquire, AcquireOptions, GateSchedule};
-use htims_core::hybrid::{run_hybrid_with_backend, FrameGenerator, HybridConfig};
+use htims_core::graph::GraphSpec;
+use htims_core::hybrid::FrameGenerator;
 use htims_core::pipeline::DeconvBackend;
+use ims_fpga::deconv::DeconvConfig;
 use ims_physics::{Instrument, Workload};
 use ims_prs::MSequence;
 use rand::SeedableRng;
@@ -29,9 +31,10 @@ fn bench_scaling(c: &mut Criterion) {
     );
     let seq = MSequence::new(degree);
     let gen = FrameGenerator::new(&data, &inst.adc, 8);
-    let cfg = HybridConfig {
+    let spec = GraphSpec {
         frames: 2,
-        ..Default::default()
+        blocks: 1,
+        ..GraphSpec::e3()
     };
 
     let max = std::thread::available_parallelism()
@@ -45,12 +48,8 @@ fn bench_scaling(c: &mut Criterion) {
     while threads <= max {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
             b.iter(|| {
-                black_box(run_hybrid_with_backend(
-                    &gen,
-                    &seq,
-                    &cfg,
-                    DeconvBackend::software(&seq, cfg.deconv, t),
-                ))
+                let backend = DeconvBackend::software(&seq, DeconvConfig::default(), t);
+                black_box(spec.pipeline(&gen, &seq, backend).run_scheduled())
             })
         });
         threads *= 2;

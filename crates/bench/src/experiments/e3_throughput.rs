@@ -16,7 +16,8 @@
 use super::common;
 use crate::table::{f, Table};
 use htims_core::acquisition::GateSchedule;
-use htims_core::hybrid::{run_hybrid_with_backend, FrameGenerator, HybridConfig};
+use htims_core::graph::GraphSpec;
+use htims_core::hybrid::FrameGenerator;
 use htims_core::pipeline::DeconvBackend;
 use ims_fpga::deconv::DeconvConfig;
 use ims_fpga::FpgaDevice;
@@ -53,17 +54,19 @@ pub fn run(quick: bool) -> Table {
         block_period_s * 1e3
     ));
 
-    let cfg = HybridConfig {
+    let spec = GraphSpec {
         frames,
-        ..Default::default()
+        blocks: 1,
+        ..GraphSpec::e3()
     };
+    let cfg = DeconvConfig::default();
 
     // Baseline row: the scalar per-column kernel (strided gather, fresh
     // allocations each column) on the same accumulated block — the path the
     // batched panel engine replaced. Same integer arithmetic, so the output
     // is bit-identical; only the schedule differs.
     {
-        let core = ims_fpga::DeconvCore::new(&seq, cfg.deconv);
+        let core = ims_fpga::DeconvCore::new(&seq, cfg);
         let block: Vec<u64> = data
             .accumulated
             .data()
@@ -101,13 +104,10 @@ pub fn run(quick: bool) -> Table {
         counts.push(num_threads());
     }
     for threads in counts {
-        let result = run_hybrid_with_backend(
-            &gen,
-            &seq,
-            &cfg,
-            DeconvBackend::software(&seq, cfg.deconv, threads),
-        );
-        let secs = result
+        let backend = DeconvBackend::software(&seq, cfg, threads);
+        let secs = spec
+            .pipeline(&gen, &seq, backend)
+            .run_scheduled()
             .report
             .stage("deconvolve")
             .expect("deconvolve stage")
@@ -126,22 +126,14 @@ pub fn run(quick: bool) -> Table {
         (FpgaDevice::xc2vp50(), 4usize, 4usize),
         (FpgaDevice::xc4vlx160(), 8, 8),
     ] {
-        let fpga_cfg = HybridConfig {
-            frames,
-            deconv: DeconvConfig {
-                parallel_columns: cols,
-                butterflies_per_column: bfs,
-                ..Default::default()
-            },
-            ..Default::default()
+        let fpga_cfg = DeconvConfig {
+            parallel_columns: cols,
+            butterflies_per_column: bfs,
+            ..cfg
         };
-        let result = run_hybrid_with_backend(
-            &gen,
-            &seq,
-            &fpga_cfg,
-            DeconvBackend::fpga(&seq, fpga_cfg.deconv),
-        );
-        let secs = result.deconv_cycles as f64 / device.clock_hz;
+        let backend = DeconvBackend::fpga(&seq, fpga_cfg);
+        let report = spec.pipeline(&gen, &seq, backend).run_scheduled().report;
+        let secs = report.deconv_cycles as f64 / device.clock_hz;
         table.row(vec![
             format!("FPGA model {} ({cols}col x {bfs}bf)", device.name),
             f(secs * 1e3),

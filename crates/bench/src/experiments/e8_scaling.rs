@@ -15,8 +15,10 @@
 use super::common;
 use crate::table::{f, Table};
 use htims_core::acquisition::GateSchedule;
-use htims_core::hybrid::{run_hybrid_with_backend, FrameGenerator, HybridConfig};
+use htims_core::graph::GraphSpec;
+use htims_core::hybrid::FrameGenerator;
 use htims_core::pipeline::DeconvBackend;
+use ims_fpga::deconv::DeconvConfig;
 use ims_physics::Workload;
 use ims_prs::MSequence;
 
@@ -34,9 +36,10 @@ pub fn run(quick: bool) -> Table {
     let data = common::acquire_with(&inst, &workload, &schedule, frames, true, 0.02, 800);
     let seq = MSequence::new(degree);
     let gen = FrameGenerator::new(&data, &inst.adc, 800);
-    let cfg = HybridConfig {
+    let spec = GraphSpec {
         frames,
-        ..Default::default()
+        blocks: 1,
+        ..GraphSpec::e3()
     };
 
     let max_threads = std::thread::available_parallelism()
@@ -69,13 +72,9 @@ pub fn run(quick: bool) -> Table {
         // Best of `repeats` to tame scheduler noise.
         let secs = (0..repeats)
             .map(|_| {
-                let result = run_hybrid_with_backend(
-                    &gen,
-                    &seq,
-                    &cfg,
-                    DeconvBackend::software(&seq, cfg.deconv, threads),
-                );
-                result
+                let backend = DeconvBackend::software(&seq, DeconvConfig::default(), threads);
+                spec.pipeline(&gen, &seq, backend)
+                    .run_scheduled()
                     .report
                     .stage("deconvolve")
                     .expect("deconvolve stage")

@@ -21,7 +21,8 @@
 //! 3. Deconvolve with a [`deconvolution::Deconvolver`] — the ideal fast
 //!    Hadamard inverse or the weighted (PNNL-enhanced) inverse — either in
 //!    software ([`parallel`] runs it across cores) or through the
-//!    cycle-accounted FPGA model ([`hybrid`]).
+//!    cycle-accounted FPGA model (the hybrid stage graph a
+//!    [`graph::GraphSpec`] describes).
 //! 4. Score the result against ground truth with [`metrics`] and identify
 //!    analytes with [`analysis`].
 //!
@@ -67,6 +68,7 @@ pub mod deconvolution;
 pub mod dynamic;
 pub mod fault;
 pub mod format;
+pub mod graph;
 pub mod hybrid;
 pub mod kernel;
 pub mod lcms;

@@ -1,11 +1,12 @@
 //! Typed pipeline errors, run verdicts, and supervision policy.
 //!
-//! The threaded executor used to join stage threads with `expect`: one
-//! panicking stage aborted the whole process with no report. These types
-//! replace that with a structured taxonomy — every failure carries stage
-//! (and where known, frame/block) provenance, the run drains cleanly, and
-//! the caller gets a partial [`PipelineReport`](super::PipelineReport)
-//! whose [`RunOutcome`] says how much to trust it.
+//! The original dedicated-thread executor joined stage threads with
+//! `expect`: one panicking stage aborted the whole process with no
+//! report. These types replace that with a structured taxonomy — every
+//! failure carries stage (and where known, frame/block) provenance, the
+//! run drains cleanly, and the caller gets a partial
+//! [`PipelineReport`](super::PipelineReport) whose [`RunOutcome`] says how
+//! much to trust it.
 
 use serde::{Deserialize, Serialize};
 use std::time::Duration;

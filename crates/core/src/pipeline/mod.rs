@@ -1,10 +1,9 @@
-//! The composable, instrumented pipeline the hybrid runners are built on.
+//! The composable, instrumented stage graph every hybrid run is built on.
 //!
 //! The paper's application is a fixed chain — software streams frames to
 //! the FPGA, the FPGA captures/accumulates/deconvolves, software collects
-//! blocks — that the seed code hand-wired three separate times
-//! (`run_hybrid`, `run_hybrid_streaming`, and the software references).
-//! This module factors that chain into a typed stage graph:
+//! blocks. This module provides that chain as a typed stage graph, which
+//! [`GraphSpec::pipeline`](crate::graph::GraphSpec::pipeline) assembles:
 //!
 //! ```text
 //! FrameSource ─▶ Link ─▶ [Binner] ─▶ Accumulate ─▶ Deconvolve ─▶ blocks
@@ -17,16 +16,14 @@
 //! [`DeconvBackend`] (the FWHT FPGA core, the naive MAC-array core, or the
 //! scheduler-parallel software path — all bit-exact equals).
 //!
-//! Three executors run the same graph. [`Pipeline::run_threaded`] and
-//! [`Pipeline::run_scheduled`] submit the source and stages as
-//! cooperatively scheduled tasks — connected by bounded inboxes — to the
-//! shared work-stealing pool in [`sched`] (the concurrent structure of
-//! the real design, with back-pressure; the two differ only in the
-//! executor tag their reports carry). [`Pipeline::run_inline`] runs the
-//! stages sequentially on the calling thread (the software reference).
-//! Because all of them drive the same stage objects over the same integer
-//! datapath, their outputs agree bit for bit — the property the hybrid
-//! equivalence tests pin down.
+//! Two executors run the same graph. [`Pipeline::run_scheduled`] submits
+//! the source and stages as cooperatively scheduled tasks — connected by
+//! bounded inboxes — to the shared work-stealing pool in [`sched`] (the
+//! concurrent structure of the real design, with back-pressure).
+//! [`Pipeline::run_inline`] runs the stages sequentially on the calling
+//! thread (the software reference). Because both drive the same stage
+//! objects over the same integer datapath, their outputs agree bit for
+//! bit — the property the hybrid equivalence tests pin down.
 //!
 //! On top of the scheduler sits the [`SessionManager`]: N independent
 //! pipelines — each its own seed, config fingerprint, and fault spec —
@@ -129,7 +126,7 @@ pub trait Stage: Send {
         0
     }
 
-    /// Depth of this stage's *output* channel in the threaded executor.
+    /// Depth of this stage's *output* inbox in the scheduled executor.
     ///
     /// Defaults to the pipeline's frame-channel depth; block-producing
     /// stages override it to 2 (the double-buffered "ping-pong" hand-off

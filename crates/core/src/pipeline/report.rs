@@ -1,6 +1,6 @@
 //! Instrumentation records produced by a pipeline run.
 //!
-//! Every executor — threaded or inline — fills in one [`PipelineReport`]:
+//! Every executor — scheduled or inline — fills in one [`PipelineReport`]:
 //! the run-level counters (frames, blocks, cycle totals, simulated link
 //! time) plus one [`StageReport`] per stage with its busy/blocked split and
 //! the high-water mark of its input queue. Both are plain serde structs so
@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 /// Per-stage instrumentation from one pipeline run.
 ///
-/// In the threaded executor, `blocked_recv_seconds` is time the stage sat
+/// In the scheduled executor, `blocked_recv_seconds` is time the stage sat
 /// waiting for input and `blocked_send_seconds` is time spent handing
 /// messages downstream (dominated by back-pressure when the next stage is
 /// the bottleneck). `queue_high_water` is the largest occupancy its input
@@ -32,14 +32,14 @@ pub struct StageReport {
     pub items_out: u64,
     /// Time spent doing work, seconds.
     pub busy_seconds: f64,
-    /// Time blocked waiting for input, seconds (threaded executor only).
+    /// Time blocked waiting for input, seconds (scheduled executor only).
     #[serde(skip_serializing_if = "Option::is_none")]
     pub blocked_recv_seconds: Option<f64>,
     /// Time spent sending output (back-pressure wait included), seconds
-    /// (threaded executor only).
+    /// (scheduled executor only).
     #[serde(skip_serializing_if = "Option::is_none")]
     pub blocked_send_seconds: Option<f64>,
-    /// Largest observed occupancy of this stage's input queue (threaded
+    /// Largest observed occupancy of this stage's input queue (scheduled
     /// executor only).
     #[serde(skip_serializing_if = "Option::is_none")]
     pub queue_high_water: Option<u64>,
@@ -63,7 +63,9 @@ pub struct StageReport {
 /// Run-level instrumentation from one pipeline run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PipelineReport {
-    /// Which executor ran the graph: `"threaded"` or `"inline"`.
+    /// Which executor ran the graph: `"scheduled"` or `"inline"` (reports
+    /// written before the `threaded` alias was retired may carry
+    /// `"threaded"`, the same runtime).
     pub executor: String,
     /// Deconvolution backend name (`"fpga-fwht"`, `"naive-mac"`,
     /// `"software"`), or `"none"` if the graph had no deconvolve stage.
@@ -74,7 +76,7 @@ pub struct PipelineReport {
     pub blocks: u64,
     /// Frames folded into each block (the last block may hold fewer).
     pub frames_per_block: u64,
-    /// Bounded-channel depth used for frame channels (threaded executor).
+    /// Bounded inbox depth used for frames (scheduled executor).
     pub channel_depth: usize,
     /// Wall time of the run, seconds.
     pub wall_seconds: f64,
@@ -204,7 +206,7 @@ mod tests {
 
     #[test]
     fn report_round_trips_through_json() {
-        let mut r = PipelineReport::new("threaded");
+        let mut r = PipelineReport::new("scheduled");
         r.backend = "fpga-fwht".into();
         r.frames = 12;
         r.blocks = 3;
@@ -293,7 +295,7 @@ mod tests {
         let clean = serde_json::to_string(&PipelineReport::new("inline")).unwrap();
         assert!(clean.contains("\"errors\":[]"), "{clean}");
         assert!(clean.contains("\"outcome\""), "{clean}");
-        let mut failed = PipelineReport::new("threaded");
+        let mut failed = PipelineReport::new("scheduled");
         failed.outcome = RunOutcome::Failed;
         failed.errors.push(PipelineError::StageStalled {
             stage: "source".into(),

@@ -28,7 +28,7 @@
 //!   `catch_unwind`; a panicked stage turns poisoned and drains its
 //!   inbox without processing. A per-run watchdog thread (only when
 //!   `stall_timeout` is configured) polls the same per-node progress
-//!   counters the threaded executor kept, blames the upstream-most
+//!   counters the dedicated-thread executor kept, blames the upstream-most
 //!   unfinished node, cancels injected stalls, and records a
 //!   [`PipelineError::StageStalled`]. `RunOutcome` semantics are
 //!   bit-compatible with PR-5.
@@ -249,7 +249,7 @@ impl Scheduler {
     }
 
     /// The process-wide pool (size [`default_pool_threads`]) that
-    /// `run_threaded`/`run_scheduled` and the session manager share.
+    /// `run_scheduled` and the session manager share.
     pub fn global() -> &'static Scheduler {
         static GLOBAL: OnceLock<Scheduler> = OnceLock::new();
         GLOBAL.get_or_init(|| Scheduler::new(default_pool_threads()))
@@ -563,14 +563,14 @@ struct RunCore {
     /// Watchdog fired: the source stops producing so the graph drains.
     cancel: AtomicBool,
     injector: Option<FaultInjector>,
-    /// Collected output blocks (the sink; unbounded like the threaded
-    /// executor's collector thread).
+    /// Collected output blocks (the sink; unbounded like the
+    /// dedicated-thread executor's collector thread).
     sink: Mutex<Vec<DeconvolvedBlock>>,
     completed: Mutex<bool>,
     completed_cv: Condvar,
     /// Watchdog-recorded stalls; panics are gathered from the nodes at
     /// join so the error order (stalls first, then panics in stage
-    /// order) matches the threaded executor's report contract.
+    /// order) matches the dedicated-thread executor's report contract.
     stall_errors: Mutex<Vec<PipelineError>>,
 }
 
@@ -853,7 +853,7 @@ impl Node {
 
     /// Offers a message downstream; `Err(msg)` hands it back when the
     /// inbox is out of credits. The last stage's output lands in the
-    /// run's sink (unbounded, like the threaded collector).
+    /// run's sink (unbounded, like the dedicated-thread collector).
     // `Err` is the rejected message itself, returned by value so the
     // caller can retry without an allocation — not an error payload.
     #[allow(clippy::result_large_err)]
@@ -945,13 +945,8 @@ fn session_cat(name: &'static str, session: Option<&'static str>) -> &'static st
 }
 
 /// Submits a pipeline to `sched` and returns without waiting. Used by
-/// `Pipeline::{run_threaded,run_scheduled,spawn_on}` and the session
-/// manager.
-pub(super) fn spawn(
-    mut pipeline: Pipeline,
-    sched: &Scheduler,
-    executor: &'static str,
-) -> ScheduledRun {
+/// `Pipeline::{run_scheduled,spawn_on}` and the session manager.
+pub(super) fn spawn(mut pipeline: Pipeline, sched: &Scheduler) -> ScheduledRun {
     assert!(!pipeline.stages.is_empty(), "pipeline has no stages");
     pipeline.arm();
     let start = Instant::now();
@@ -987,8 +982,8 @@ pub(super) fn spawn(
     });
 
     // Inbox capacity of stage i = the depth of the channel that fed it
-    // under the threaded executor: `channel_depth` for stage 0, the
-    // upstream stage's `output_depth` after that. These bounds are the
+    // under the dedicated-thread executor: `channel_depth` for stage 0,
+    // the upstream stage's `output_depth` after that. These bounds are the
     // session's per-hop credits.
     let mut caps = Vec::with_capacity(n);
     caps.push(channel_depth);
@@ -1141,7 +1136,6 @@ pub(super) fn spawn(
         nodes,
         run,
         start,
-        executor,
         channel_depth,
         frames,
         injector,
@@ -1156,7 +1150,6 @@ pub struct ScheduledRun {
     nodes: Vec<Arc<Node>>,
     run: Arc<RunCore>,
     start: Instant,
-    executor: &'static str,
     channel_depth: usize,
     frames: u64,
     injector: Option<FaultInjector>,
@@ -1218,7 +1211,7 @@ impl ScheduledRun {
             }
         }
         let blocks = std::mem::take(&mut *lock(&self.run.sink));
-        let mut report = PipelineReport::new(self.executor);
+        let mut report = PipelineReport::new("scheduled");
         report.channel_depth = self.channel_depth;
         report.errors = errors;
         finish_report(

@@ -308,7 +308,7 @@ impl AccumulateStage {
     ///
     /// With `flush_remainder`, a trailing partial block is drained when the
     /// input ends (and an all-zero block if no frames arrived at all) — the
-    /// single-block batch semantics of `run_hybrid`. Without it, a partial
+    /// single-block batch semantics. Without it, a partial
     /// tail is discarded, as a free-running streaming capture would.
     pub fn new(acc: AccumulatorCore, frames_per_block: u64, flush_remainder: bool) -> Self {
         assert!(frames_per_block >= 1, "frames_per_block must be >= 1");

@@ -8,9 +8,10 @@
 use htims_core::acquisition::{acquire, AcquireOptions, GateSchedule};
 use htims_core::capture::CaptureLog;
 use htims_core::fault::{FaultInjector, FaultSpec};
-use htims_core::hybrid::{hybrid_pipeline, FrameGenerator, HybridConfig};
+use htims_core::graph::GraphSpec;
+use htims_core::hybrid::FrameGenerator;
 use htims_core::pipeline::{output_fingerprint, DeconvBackend, Pipeline, RunOutcome};
-use ims_fpga::MzBinner;
+use ims_fpga::deconv::DeconvConfig;
 use ims_prs::MSequence;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -37,17 +38,8 @@ fn generator(degree: u32, mz_bins: usize) -> (FrameGenerator, MSequence) {
     (FrameGenerator::new(&data, &inst.adc, 42), seq)
 }
 
-fn graph(gen: &FrameGenerator, seq: &MSequence, cfg: &HybridConfig, blocks: u64) -> Pipeline {
-    let backend = DeconvBackend::fpga(seq, cfg.deconv);
-    hybrid_pipeline(
-        gen,
-        seq,
-        cfg,
-        cfg.frames * blocks,
-        cfg.frames,
-        false,
-        backend,
-    )
+fn graph(gen: &FrameGenerator, seq: &MSequence, cfg: &GraphSpec) -> Pipeline {
+    cfg.pipeline(gen, seq, DeconvBackend::fpga(seq, DeconvConfig::default()))
 }
 
 fn block_data(out: &htims_core::pipeline::PipelineOutput) -> Vec<(u64, u64, Vec<i64>)> {
@@ -61,12 +53,13 @@ fn block_data(out: &htims_core::pipeline::PipelineOutput) -> Vec<(u64, u64, Vec<
 fn capture_log_records_every_sourced_frame_in_order() {
     let dir = temp_dir("records");
     let (gen, seq) = generator(4, 12);
-    let cfg = HybridConfig {
+    let cfg = GraphSpec {
         frames: 4,
-        ..Default::default()
+        blocks: 3,
+        ..GraphSpec::small()
     };
     let log = CaptureLog::create(&dir).unwrap();
-    let out = graph(&gen, &seq, &cfg, 3)
+    let out = graph(&gen, &seq, &cfg)
         .with_capture_log(log.clone())
         .run_inline();
     assert_eq!(out.report.outcome, RunOutcome::Completed);
@@ -83,10 +76,11 @@ fn capture_log_records_every_sourced_frame_in_order() {
 fn replay_reproduces_output_bit_for_bit_across_executors() {
     let dir = temp_dir("fnv");
     let (gen, seq) = generator(5, 18);
-    let cfg = HybridConfig {
+    let cfg = GraphSpec {
         frames: 4,
+        blocks: 4,
         shards: 3,
-        ..Default::default()
+        ..GraphSpec::small()
     };
     // A captured run with the full fault menu armed: source drops never
     // reach the log, downstream faults are keyed by seq_no / block index
@@ -94,7 +88,7 @@ fn replay_reproduces_output_bit_for_bit_across_executors() {
     let spec = FaultSpec::parse("frame.drop=0.25,dma.bitflip=1e-5,deconv.fail=0.3,shard.kill=0.6")
         .unwrap();
     let log = CaptureLog::create(&dir).unwrap();
-    let captured = graph(&gen, &seq, &cfg, 4)
+    let captured = graph(&gen, &seq, &cfg)
         .with_faults(FaultInjector::new(99, spec.clone()))
         .with_capture_log(log.clone())
         .run_inline();
@@ -110,15 +104,15 @@ fn replay_reproduces_output_bit_for_bit_across_executors() {
     // everything downstream re-fires from the logged seq numbers, and the
     // log rides along read-only so shard rebuilds re-fire too.
     let stripped = spec.without_source_sites();
-    for threaded in [false, true] {
+    for scheduled in [false, true] {
         let ro = CaptureLog::open(&dir).unwrap();
         let packets = ro.read_all().unwrap();
-        let p = graph(&gen, &seq, &cfg, 4)
+        let p = graph(&gen, &seq, &cfg)
             .with_faults(FaultInjector::new(99, stripped.clone()))
             .with_replay_source(packets)
             .with_capture_log(ro);
-        let replayed = if threaded {
-            p.run_threaded()
+        let replayed = if scheduled {
+            p.run_scheduled()
         } else {
             p.run_inline()
         };
@@ -126,7 +120,7 @@ fn replay_reproduces_output_bit_for_bit_across_executors() {
         assert_eq!(
             output_fingerprint(&replayed.blocks),
             captured_fnv,
-            "replay (threaded={threaded}) must be FNV bit-exact"
+            "replay (scheduled={scheduled}) must be FNV bit-exact"
         );
     }
     std::fs::remove_dir_all(&dir).unwrap();
@@ -136,18 +130,19 @@ fn replay_reproduces_output_bit_for_bit_across_executors() {
 fn killed_shards_rebuild_from_the_log_and_stay_bit_exact() {
     let dir = temp_dir("rebuild");
     let (gen, seq) = generator(5, 18);
-    let cfg = HybridConfig {
+    let cfg = GraphSpec {
         frames: 6,
+        blocks: 3,
         shards: 4,
-        ..Default::default()
+        ..GraphSpec::small()
     };
-    let clean = graph(&gen, &seq, &cfg, 3).run_inline();
+    let clean = graph(&gen, &seq, &cfg).run_inline();
     assert_eq!(clean.report.outcome, RunOutcome::Completed);
     let clean_fnv = output_fingerprint(&clean.blocks);
 
     let spec = FaultSpec::parse("shard.kill=1").unwrap();
     let log = CaptureLog::create(&dir).unwrap();
-    let out = graph(&gen, &seq, &cfg, 3)
+    let out = graph(&gen, &seq, &cfg)
         .with_faults(FaultInjector::new(7, spec))
         .with_capture_log(log)
         .run_inline();
@@ -169,12 +164,13 @@ fn killed_shards_rebuild_from_the_log_and_stay_bit_exact() {
 #[test]
 fn shard_loss_without_a_log_degrades_and_zeroes_the_range() {
     let (gen, seq) = generator(5, 18);
-    let cfg = HybridConfig {
+    let cfg = GraphSpec {
         frames: 6,
+        blocks: 2,
         shards: 4,
-        ..Default::default()
+        ..GraphSpec::small()
     };
-    let clean = graph(&gen, &seq, &cfg, 2).run_inline();
+    let clean = graph(&gen, &seq, &cfg).run_inline();
     assert!(
         clean.blocks.iter().any(|b| b.data.iter().any(|&v| v != 0)),
         "sanity: the clean run must produce signal"
@@ -183,7 +179,7 @@ fn shard_loss_without_a_log_degrades_and_zeroes_the_range() {
     // Rate 1 kills every shard of every block; with no capture log armed
     // nothing can be rebuilt, so the whole m/z width drains zeros.
     let spec = FaultSpec::parse("shard.kill=1").unwrap();
-    let out = graph(&gen, &seq, &cfg, 2)
+    let out = graph(&gen, &seq, &cfg)
         .with_faults(FaultInjector::new(7, spec))
         .run_inline();
     assert_eq!(out.report.outcome, RunOutcome::Degraded);
@@ -204,7 +200,7 @@ fn shard_loss_without_a_log_degrades_and_zeroes_the_range() {
     }
     // Determinism: the degraded run is a pure function of (seed, spec).
     let spec = FaultSpec::parse("shard.kill=1").unwrap();
-    let again = graph(&gen, &seq, &cfg, 2)
+    let again = graph(&gen, &seq, &cfg)
         .with_faults(FaultInjector::new(7, spec))
         .run_inline();
     assert_eq!(block_data(&out), block_data(&again));
@@ -215,18 +211,19 @@ fn shard_loss_without_a_log_degrades_and_zeroes_the_range() {
 fn rebuild_re_bins_when_a_binner_precedes_the_accumulator() {
     let dir = temp_dir("binned");
     let (gen, seq) = generator(4, 24);
-    let cfg = HybridConfig {
+    let cfg = GraphSpec {
         frames: 5,
+        blocks: 2,
         shards: 3,
-        binner: Some(MzBinner::uniform(24, 8)),
-        ..Default::default()
+        coarse: Some(8),
+        ..GraphSpec::small()
     };
-    let clean = graph(&gen, &seq, &cfg, 2).run_inline();
+    let clean = graph(&gen, &seq, &cfg).run_inline();
     let clean_fnv = output_fingerprint(&clean.blocks);
 
     let spec = FaultSpec::parse("shard.kill=1").unwrap();
     let log = CaptureLog::create(&dir).unwrap();
-    let out = graph(&gen, &seq, &cfg, 2)
+    let out = graph(&gen, &seq, &cfg)
         .with_faults(FaultInjector::new(21, spec))
         .with_capture_log(log)
         .run_inline();

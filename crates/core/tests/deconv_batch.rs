@@ -5,9 +5,11 @@
 
 use htims_core::acquisition::{acquire, AcquireOptions, AcquiredData, GateSchedule};
 use htims_core::deconvolution::{apply_columnwise, Deconvolver};
-use htims_core::hybrid::{hybrid_pipeline, FrameGenerator, HybridConfig};
+use htims_core::graph::GraphSpec;
+use htims_core::hybrid::FrameGenerator;
 use htims_core::pipeline::DeconvBackend;
 use htims_core::BatchDeconvolver;
+use ims_fpga::deconv::DeconvConfig;
 use ims_physics::{Instrument, Workload};
 use ims_prs::MSequence;
 use proptest::prelude::*;
@@ -87,16 +89,17 @@ proptest! {
         let (inst, _, data) = small_block(degree, mz, seed);
         let seq = MSequence::new(degree);
         let gen = FrameGenerator::new(&data, &inst.adc, seed ^ 0x5a);
-        let cfg = HybridConfig { frames: 4, ..Default::default() };
+        let cfg = DeconvConfig::default();
+        let spec = GraphSpec { frames: 4, blocks: 2, ..GraphSpec::small() };
 
         let mut reference: Option<Vec<i64>> = None;
         for backend_name in ["fpga", "naive", "software"] {
-            for threaded in [false, true] {
+            for scheduled in [false, true] {
                 let backend =
-                    DeconvBackend::from_name(backend_name, &seq, cfg.deconv, threads)
+                    DeconvBackend::from_name(backend_name, &seq, cfg, threads)
                         .expect("known backend");
-                let graph = hybrid_pipeline(&gen, &seq, &cfg, 8, 4, true, backend);
-                let out = if threaded { graph.run_threaded() } else { graph.run_inline() };
+                let graph = spec.pipeline(&gen, &seq, backend);
+                let out = if scheduled { graph.run_scheduled() } else { graph.run_inline() };
                 let words: Vec<i64> = out
                     .blocks
                     .iter()
@@ -107,7 +110,7 @@ proptest! {
                     Some(r) => prop_assert_eq!(
                         r, &words,
                         "{} ({} executor) diverged", backend_name,
-                        if threaded { "threaded" } else { "inline" }
+                        if scheduled { "scheduled" } else { "inline" }
                     ),
                 }
             }
@@ -125,16 +128,16 @@ fn pipeline_report_populates_throughput_fields() {
     let (inst, _, data) = small_block(degree, mz, 9);
     let seq = MSequence::new(degree);
     let gen = FrameGenerator::new(&data, &inst.adc, 9);
-    let cfg = HybridConfig {
+    let spec = GraphSpec {
         frames: 4,
-        ..Default::default()
+        blocks: 3,
+        ..GraphSpec::small()
     };
-    let backend = DeconvBackend::software(&seq, cfg.deconv, 1);
-    let blocks = 3u64;
-    let out = hybrid_pipeline(&gen, &seq, &cfg, 4 * blocks, 4, false, backend).run_threaded();
+    let backend = DeconvBackend::software(&seq, DeconvConfig::default(), 1);
+    let out = spec.pipeline(&gen, &seq, backend).run_scheduled();
 
     let stage = out.report.stage("deconvolve").expect("deconvolve stage");
-    assert_eq!(stage.cells, blocks * (n * mz) as u64);
+    assert_eq!(stage.cells, 3 * (n * mz) as u64);
     assert!(stage.busy_seconds > 0.0);
     assert!(stage.mcells_per_second > 0.0);
     assert!(stage.items_per_second > 0.0);

@@ -1,15 +1,19 @@
 //! Integration tests of deterministic fault injection and the supervised
-//! threaded executor: zero-rate specs are bit-identical to no-fault runs,
+//! scheduled executor: zero-rate specs are bit-identical to no-fault runs,
 //! chaotic runs are a pure function of `(seed, spec)`, failures surface as
 //! structured errors instead of process aborts, and the executor drains
 //! cleanly under early EOF, poisoned stages, and watchdog-cancelled stalls.
 
 use htims_core::acquisition::{acquire, AcquireOptions, GateSchedule};
 use htims_core::fault::{FaultInjector, FaultSpec};
-use htims_core::hybrid::{hybrid_pipeline, FrameGenerator, HybridConfig};
+use htims_core::graph::GraphSpec;
+use htims_core::hybrid::FrameGenerator;
 use htims_core::pipeline::{
-    DeconvBackend, Pipeline, PipelineError, PipelineOutput, RunOutcome, SupervisorConfig,
+    AccumulateStage, DeconvBackend, DeconvolveStage, FrameSource, Pipeline, PipelineError,
+    PipelineOutput, RunOutcome, SupervisorConfig,
 };
+use ims_fpga::deconv::DeconvConfig;
+use ims_fpga::AccumulatorCore;
 use ims_prs::MSequence;
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -33,14 +37,14 @@ fn generator(degree: u32, mz_bins: usize) -> (FrameGenerator, MSequence) {
 
 /// A small standard graph: `blocks` blocks of `frames` frames each, FPGA
 /// backend, streaming semantics (partial tail blocks discarded).
-fn graph(gen: &FrameGenerator, seq: &MSequence, frames: u64, blocks: u64) -> Pipeline {
-    let cfg = HybridConfig {
+fn graph(gen: &FrameGenerator, seq: &MSequence, frames: u64, blocks: usize) -> Pipeline {
+    let spec = GraphSpec {
         frames,
-        channel_depth: 2,
-        ..Default::default()
+        blocks,
+        depth: 2,
+        ..GraphSpec::small()
     };
-    let backend = DeconvBackend::fpga(seq, cfg.deconv);
-    hybrid_pipeline(gen, seq, &cfg, frames * blocks, frames, false, backend)
+    spec.pipeline(gen, seq, DeconvBackend::fpga(seq, DeconvConfig::default()))
 }
 
 fn block_data(out: &PipelineOutput) -> Vec<(u64, u64, Vec<i64>)> {
@@ -54,10 +58,10 @@ fn block_data(out: &PipelineOutput) -> Vec<(u64, u64, Vec<i64>)> {
 fn same_seed_and_spec_reproduce_faults_and_output_bit_for_bit() {
     let (gen, seq) = generator(5, 18);
     let spec = FaultSpec::parse("frame.drop=0.2,dma.bitflip=1e-4,deconv.fail=0.5").unwrap();
-    let run = |exec_threaded: bool| {
+    let run = |exec_scheduled: bool| {
         let p = graph(&gen, &seq, 4, 3).with_faults(FaultInjector::new(99, spec.clone()));
-        if exec_threaded {
-            p.run_threaded()
+        if exec_scheduled {
+            p.run_scheduled()
         } else {
             p.run_inline()
         }
@@ -80,13 +84,13 @@ fn same_seed_and_spec_reproduce_faults_and_output_bit_for_bit() {
 #[test]
 fn certain_deconv_failure_degrades_to_bit_identical_software_fallback() {
     let (gen, seq) = generator(5, 18);
-    let clean = graph(&gen, &seq, 3, 2).run_threaded();
+    let clean = graph(&gen, &seq, 3, 2).run_scheduled();
     assert_eq!(clean.report.outcome, RunOutcome::Completed);
 
     let spec = FaultSpec::parse("deconv.fail=1").unwrap();
     let out = graph(&gen, &seq, 3, 2)
         .with_faults(FaultInjector::new(7, spec))
-        .run_threaded();
+        .run_scheduled();
     assert_eq!(out.report.outcome, RunOutcome::Degraded);
     assert!(out.report.errors.is_empty(), "{:?}", out.report.errors);
     assert_eq!(out.report.deconv_fallbacks, 2, "every block fell back");
@@ -106,7 +110,7 @@ fn deconv_failure_without_fallback_is_a_structured_error_not_an_abort() {
             deconv_fallback: false,
             ..Default::default()
         })
-        .run_threaded();
+        .run_scheduled();
     assert_eq!(out.report.outcome, RunOutcome::Failed);
     assert!(
         out.report.errors.iter().any(|e| matches!(
@@ -134,7 +138,7 @@ fn permanent_stall_trips_the_watchdog_with_source_blame() {
             stall_timeout: Some(Duration::from_millis(250)),
             ..Default::default()
         })
-        .run_threaded();
+        .run_scheduled();
     assert!(
         started.elapsed() < Duration::from_secs(30),
         "watchdog did not break the stall"
@@ -155,14 +159,14 @@ fn survivable_stalls_only_degrade_the_run() {
     let (gen, seq) = generator(5, 18);
     // 2 ms stalls under a 2 s watchdog: annoying, not fatal.
     let spec = FaultSpec::parse("source.stall=2ms@0.5").unwrap();
-    let clean = graph(&gen, &seq, 3, 2).run_threaded();
+    let clean = graph(&gen, &seq, 3, 2).run_scheduled();
     let out = graph(&gen, &seq, 3, 2)
         .with_faults(FaultInjector::new(7, spec))
         .with_supervisor(SupervisorConfig {
             stall_timeout: Some(Duration::from_secs(2)),
             ..Default::default()
         })
-        .run_threaded();
+        .run_scheduled();
     assert_eq!(out.report.outcome, RunOutcome::Degraded);
     assert!(out.report.errors.is_empty(), "{:?}", out.report.errors);
     assert!(out.report.faults.stalls > 0);
@@ -176,7 +180,7 @@ fn bitflip_storm_quarantines_frames_and_still_completes() {
     let spec = FaultSpec::parse("dma.bitflip=3e-5").unwrap();
     let out = graph(&gen, &seq, 4, 3)
         .with_faults(FaultInjector::new(3, spec))
-        .run_threaded();
+        .run_scheduled();
     assert_eq!(out.report.outcome, RunOutcome::Degraded);
     assert!(out.report.faults.bitflips > 0);
     assert_eq!(
@@ -195,7 +199,7 @@ fn flight_dump_after_forced_degraded_carries_the_quarantined_frames_chain() {
     let out = graph(&gen, &seq, 4, 3)
         .with_faults(FaultInjector::new(3, spec))
         .with_flight_dump(dir.clone(), "testcfg")
-        .run_threaded();
+        .run_scheduled();
     assert_eq!(out.report.outcome, RunOutcome::Degraded);
     assert!(out.report.frames_quarantined > 0);
     let dump = out.report.flight_dump.as_deref().expect("dump written");
@@ -237,26 +241,24 @@ fn flight_dump_after_forced_degraded_carries_the_quarantined_frames_chain() {
 }
 
 #[test]
-fn early_source_eof_drains_the_threaded_executor_without_deadlock() {
+fn early_source_eof_drains_the_scheduled_executor_without_deadlock() {
     let (gen, seq) = generator(5, 18);
     // Fewer frames than one block, streaming semantics: the accumulator
     // never fills a block and the tail is discarded — every stage must
     // still see EOF and the run must return (regression: a drain bug here
     // hangs the join).
-    let cfg = HybridConfig {
-        frames: 8,
-        channel_depth: 2,
-        ..Default::default()
-    };
-    let backend = DeconvBackend::fpga(&seq, cfg.deconv);
-    let out = hybrid_pipeline(&gen, &seq, &cfg, 3, 8, false, backend).run_threaded();
+    let acc = AccumulatorCore::new(gen.drift_bins(), gen.mz_bins(), 32);
+    let backend = DeconvBackend::fpga(&seq, DeconvConfig::default());
+    let out = Pipeline::new(FrameSource::new(gen.clone(), 0, 3), 2)
+        .stage(AccumulateStage::new(acc, 8, false))
+        .stage(DeconvolveStage::new(backend, gen.mz_bins()))
+        .run_scheduled();
     assert_eq!(out.blocks.len(), 0);
     assert_eq!(out.report.outcome, RunOutcome::Completed);
     assert_eq!(out.report.stages[0].items_out, 3, "source emitted 3 frames");
 
     // Zero frames: the source closes immediately.
-    let backend = DeconvBackend::fpga(&seq, cfg.deconv);
-    let out = hybrid_pipeline(&gen, &seq, &cfg, 0, 8, false, backend).run_threaded();
+    let out = graph(&gen, &seq, 8, 0).run_scheduled();
     assert_eq!(out.blocks.len(), 0);
     assert_eq!(out.report.outcome, RunOutcome::Completed);
 }
@@ -269,9 +271,9 @@ proptest! {
     /// run must still report `Completed` with zero fault counts.
     #[test]
     fn zero_rate_spec_is_bit_identical_to_the_unarmed_pipeline(
-        threaded in any::<bool>(),
+        scheduled in any::<bool>(),
         frames in 1u64..5,
-        blocks in 1u64..3,
+        blocks in 1usize..3,
         seed in any::<u64>(),
     ) {
         let (gen, seq) = generator(5, 18);
@@ -284,7 +286,7 @@ proptest! {
             if armed {
                 p = p.with_faults(FaultInjector::new(seed, spec.clone()));
             }
-            if threaded { p.run_threaded() } else { p.run_inline() }
+            if scheduled { p.run_scheduled() } else { p.run_inline() }
         };
         let clean = run(false);
         let armed = run(true);

@@ -1,14 +1,13 @@
 //! Property tests of the pipeline executors: output must be invariant to
 //! channel depth (back-pressure intensity), executor choice (inline vs
-//! threaded vs work-stealing scheduled), and deconvolution backend (all
-//! backends are bit-exact equals).
+//! work-stealing scheduled), and deconvolution backend (all backends are
+//! bit-exact equals).
 
 use htims_core::acquisition::{acquire, AcquireOptions, GateSchedule};
-use htims_core::hybrid::{
-    hybrid_pipeline, run_hybrid_streaming_with_backend, run_software_reference_binned_range,
-    run_software_reference_range, FrameGenerator, HybridConfig,
-};
+use htims_core::graph::GraphSpec;
+use htims_core::hybrid::{reference_block, FrameGenerator};
 use htims_core::pipeline::{output_fingerprint, DeconvBackend};
+use ims_fpga::deconv::DeconvConfig;
 use ims_fpga::MzBinner;
 use ims_prs::MSequence;
 use proptest::prelude::*;
@@ -30,11 +29,22 @@ fn generator(degree: u32, mz_bins: usize) -> (FrameGenerator, MSequence) {
     (FrameGenerator::new(&data, &inst.adc, 42), seq)
 }
 
-fn backend(idx: usize, seq: &MSequence, cfg: &HybridConfig) -> DeconvBackend {
+fn backend(idx: usize, seq: &MSequence) -> DeconvBackend {
+    let cfg = DeconvConfig::default();
     match idx {
-        0 => DeconvBackend::fpga(seq, cfg.deconv),
-        1 => DeconvBackend::naive(seq, cfg.deconv),
-        _ => DeconvBackend::software(seq, cfg.deconv, 2),
+        0 => DeconvBackend::fpga(seq, cfg),
+        1 => DeconvBackend::naive(seq, cfg),
+        _ => DeconvBackend::software(seq, cfg, 2),
+    }
+}
+
+fn spec(frames: u64, blocks: usize, depth_idx: usize, coarse: Option<usize>) -> GraphSpec {
+    GraphSpec {
+        frames,
+        blocks,
+        depth: [1usize, 2, 8][depth_idx],
+        coarse,
+        ..GraphSpec::small()
     }
 }
 
@@ -49,20 +59,16 @@ proptest! {
         n_blocks in 1usize..4,
     ) {
         let (gen, seq) = generator(5, 18);
-        let cfg = HybridConfig {
-            frames,
-            channel_depth: [1usize, 2, 8][depth_idx],
-            ..Default::default()
-        };
-        // Threaded executor, varying depth and backend…
-        let streaming = run_hybrid_streaming_with_backend(
-            &gen, &seq, &cfg, n_blocks, backend(backend_idx, &seq, &cfg));
-        prop_assert_eq!(streaming.blocks.len(), n_blocks);
-        // …must match the inline FPGA-backend reference block for block.
-        for (b, block) in streaming.blocks.iter().enumerate() {
-            let reference = run_software_reference_range(
-                &gen, &seq, b as u64 * frames, frames, cfg.deconv);
-            prop_assert_eq!(block, &reference);
+        // Scheduled executor, varying depth and backend…
+        let out = spec(frames, n_blocks, depth_idx, None)
+            .pipeline(&gen, &seq, backend(backend_idx, &seq))
+            .run_scheduled();
+        prop_assert_eq!(out.blocks.len(), n_blocks);
+        // …must match the hand-wired FPGA-core reference block for block.
+        for (b, block) in out.blocks.iter().enumerate() {
+            let reference = reference_block(
+                &gen, &seq, b as u64 * frames, frames, None, DeconvConfig::default());
+            prop_assert_eq!(&block.data, &reference);
         }
     }
 
@@ -74,51 +80,39 @@ proptest! {
     ) {
         let (gen, seq) = generator(5, 24);
         let binner = MzBinner::uniform(24, 6);
-        let cfg = HybridConfig {
-            frames,
-            channel_depth: [1usize, 2, 8][depth_idx],
-            binner: Some(binner.clone()),
-            ..Default::default()
-        };
-        let streaming = run_hybrid_streaming_with_backend(
-            &gen, &seq, &cfg, 2, backend(backend_idx, &seq, &cfg));
-        prop_assert_eq!(streaming.blocks.len(), 2);
-        for (b, block) in streaming.blocks.iter().enumerate() {
-            let reference = run_software_reference_binned_range(
-                &gen, &seq, b as u64 * frames, frames, cfg.deconv, &binner);
-            prop_assert_eq!(block, &reference);
+        let out = spec(frames, 2, depth_idx, Some(6))
+            .pipeline(&gen, &seq, backend(backend_idx, &seq))
+            .run_scheduled();
+        prop_assert_eq!(out.blocks.len(), 2);
+        for (b, block) in out.blocks.iter().enumerate() {
+            let reference = reference_block(
+                &gen, &seq, b as u64 * frames, frames, Some(&binner), DeconvConfig::default());
+            prop_assert_eq!(&block.data, &reference);
         }
     }
 
     #[test]
-    fn output_invariant_across_inline_threaded_and_scheduled(
+    fn output_invariant_across_inline_and_scheduled(
         depth_idx in 0usize..3,
         backend_idx in 0usize..3,
         frames in 1u64..8,
         n_blocks in 1usize..4,
     ) {
         let (gen, seq) = generator(5, 18);
-        let cfg = HybridConfig {
-            frames,
-            channel_depth: [1usize, 2, 8][depth_idx],
-            ..Default::default()
-        };
-        let total = frames * n_blocks as u64;
-        let build = || hybrid_pipeline(
-            &gen, &seq, &cfg, total, frames, false, backend(backend_idx, &seq, &cfg));
-        // The same graph under all three executors: the single-thread
-        // reference, the compatibility wrapper, and the work-stealing
-        // runtime must produce bit-identical block streams.
+        let build = || spec(frames, n_blocks, depth_idx, None)
+            .pipeline(&gen, &seq, backend(backend_idx, &seq));
+        // The same graph under both executors: the single-thread reference
+        // and the work-stealing runtime must produce bit-identical block
+        // streams.
         let inline = build().run_inline();
-        let threaded = build().run_threaded();
         let scheduled = build().run_scheduled();
         prop_assert_eq!(inline.blocks.len(), n_blocks);
-        let reference = output_fingerprint(&inline.blocks);
-        prop_assert_eq!(output_fingerprint(&threaded.blocks), reference);
-        prop_assert_eq!(output_fingerprint(&scheduled.blocks), reference);
+        prop_assert_eq!(
+            output_fingerprint(&scheduled.blocks),
+            output_fingerprint(&inline.blocks)
+        );
         // Report tags still distinguish the entry points.
         prop_assert_eq!(inline.report.executor.as_str(), "inline");
-        prop_assert_eq!(threaded.report.executor.as_str(), "threaded");
         prop_assert_eq!(scheduled.report.executor.as_str(), "scheduled");
     }
 }

@@ -14,8 +14,10 @@
 //! isolated from the global pool other tests share.
 
 use htims_core::acquisition::{acquire, AcquireOptions, GateSchedule};
-use htims_core::hybrid::{hybrid_pipeline, FrameGenerator, HybridConfig};
+use htims_core::graph::GraphSpec;
+use htims_core::hybrid::FrameGenerator;
 use htims_core::pipeline::{DeconvBackend, RunOutcome, SchedStatsSnapshot, Scheduler};
+use ims_fpga::deconv::DeconvConfig;
 use ims_prs::MSequence;
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -103,19 +105,16 @@ fn generator(degree: u32, mz_bins: usize) -> (FrameGenerator, MSequence) {
 #[test]
 fn pipeline_run_on_a_private_pool_keeps_the_identity() {
     let (gen, seq) = generator(5, 18);
-    let cfg = HybridConfig {
+    let spec = GraphSpec {
         frames: 4,
-        ..Default::default()
+        blocks: 2,
+        ..GraphSpec::small()
     };
     let sched = Scheduler::new(2);
-    let pipeline = hybrid_pipeline(
+    let pipeline = spec.pipeline(
         &gen,
         &seq,
-        &cfg,
-        8,
-        4,
-        false,
-        DeconvBackend::fpga(&seq, cfg.deconv),
+        DeconvBackend::fpga(&seq, DeconvConfig::default()),
     );
     let out = pipeline.spawn_on(&sched).join();
     assert_eq!(out.report.outcome, RunOutcome::Completed);

@@ -33,7 +33,7 @@ pub struct FingerprintParts<'a> {
     /// `"fixed-point"`) or pipeline backend name.
     pub method: &'a str,
     /// Engine / executor (`"scalar-column"`, `"batched"`,
-    /// `"batched-parallel"`, `"threaded"`, `"inline"`).
+    /// `"batched-parallel"`, `"scheduled"`, `"inline"`).
     pub engine: &'a str,
     /// Worker thread count.
     pub threads: usize,

@@ -9,9 +9,11 @@
 //! ```
 
 use htims::core::acquisition::{acquire, AcquireOptions, GateSchedule};
-use htims::core::hybrid::{run_hybrid, run_software_reference, FrameGenerator, HybridConfig};
+use htims::core::hybrid::{reference_block, FrameGenerator};
+use htims::core::pipeline::DeconvBackend;
 use htims::fpga::deconv::DeconvConfig;
-use htims::fpga::{AccumulatorCore, DmaLink, FpgaDevice, ResourceReport};
+use htims::fpga::{AccumulatorCore, DmaLink, FpgaDevice, MzBinner, ResourceReport};
+use htims::graph::GraphSpec;
 use htims::physics::{Instrument, Workload};
 use htims::prs::MSequence;
 use rand::SeedableRng;
@@ -40,56 +42,53 @@ fn main() {
     let generator = FrameGenerator::new(&data, &instrument.adc, 2007);
     let seq = MSequence::new(degree);
 
-    let config = HybridConfig {
+    let spec = GraphSpec {
+        degree,
+        mz: mz_bins,
         frames: 64,
-        channel_depth: 4,
-        deconv: DeconvConfig::default(),
-        link: DmaLink::rapidarray(),
-        binner: None,
-        sparse: false,
-        shards: 0,
+        blocks: 1,
+        ..GraphSpec::small()
     };
+    let deconv = DeconvConfig::default();
 
     println!(
         "streaming {} frames of {} bytes through the hybrid pipeline…",
-        config.frames,
+        spec.frames,
         generator.frame_bytes()
     );
-    let hybrid = run_hybrid(&generator, &seq, &config);
-    let reference = run_software_reference(&generator, &seq, config.frames, config.deconv);
+    let hybrid = spec
+        .pipeline(&generator, &seq, DeconvBackend::fpga(&seq, deconv))
+        .run_scheduled();
+    let reference = reference_block(&generator, &seq, 0, spec.frames, None, deconv);
 
     assert_eq!(
-        hybrid.deconvolved_raw, reference,
+        hybrid.blocks[0].data, reference,
         "FPGA component must match the software component bit-for-bit"
     );
     println!(
         "FPGA output == software reference: bit-exact over {} words ✓",
         reference.len()
     );
+    let report = &hybrid.report;
     println!(
         "capture cycles: {}, deconvolution cycles: {}, simulated link time: {:.2} ms, wall: {:.0} ms",
-        hybrid.capture_cycles,
-        hybrid.deconv_cycles,
-        hybrid.simulated_link_seconds * 1e3,
-        hybrid.wall_seconds * 1e3
+        report.capture_cycles,
+        report.deconv_cycles,
+        report.simulated_link_seconds * 1e3,
+        report.wall_seconds * 1e3
     );
 
     // Binned mode: full-resolution frames folded 100→20 on chip, still
     // bit-exact against the binned software reference.
-    let binner = htims::fpga::MzBinner::uniform(mz_bins, 20);
-    let binned_cfg = HybridConfig {
-        binner: Some(binner.clone()),
-        ..config.clone()
-    };
-    let binned = run_hybrid(&generator, &seq, &binned_cfg);
-    let binned_ref = htims::core::hybrid::run_software_reference_binned(
-        &generator,
-        &seq,
-        binned_cfg.frames,
-        binned_cfg.deconv,
-        &binner,
-    );
-    assert_eq!(binned.deconvolved_raw, binned_ref);
+    let binned = GraphSpec {
+        coarse: Some(20),
+        ..spec.clone()
+    }
+    .pipeline(&generator, &seq, DeconvBackend::fpga(&seq, deconv))
+    .run_scheduled();
+    let binner = MzBinner::uniform(mz_bins, 20);
+    let binned_ref = reference_block(&generator, &seq, 0, spec.frames, Some(&binner), deconv);
+    assert_eq!(binned.blocks[0].data, binned_ref);
     println!(
         "binned mode ({mz_bins}→20 on chip): bit-exact over {} words ✓",
         binned_ref.len()
@@ -97,13 +96,13 @@ fn main() {
 
     // Would this design fit and keep up on the Cray XD1's FPGA?
     let acc = AccumulatorCore::new(n, mz_bins, 32);
-    let deconv = htims::fpga::DeconvCore::new(&seq, config.deconv);
+    let core = htims::fpga::DeconvCore::new(&seq, deconv);
     let report = ResourceReport::evaluate(
         &FpgaDevice::xc2vp50(),
         &acc,
-        &deconv,
-        &config.link,
-        config.frames,
+        &core,
+        &DmaLink::rapidarray(),
+        spec.frames,
         instrument.frame_duration_s(),
     );
     println!(

@@ -49,7 +49,7 @@ fn help() {
          htims sequence --degree <n> [--factor <m>]\n  htims feasibility --degree <n> --mz <bins>\n  \
          htims pipeline [--degree <n>] [--mz <bins>] [--frames <per-block>] [--blocks <n>]\n    \
          [--depth <channel depth>] [--backend fpga|naive|software] [--threads <n>]\n    \
-         [--coarse <bins>] [--executor threaded|scheduled|inline] [--seed <n>]\n    \
+         [--coarse <bins>] [--executor scheduled|inline] [--seed <n>]\n    \
          [--out <file.json>] [--faults <dma.bitflip=1e-5,frame.drop=1e-4,...>]\n    \
          [--stall-timeout <250ms>] [--sparse] [--slo <p99=5ms,completeness=0.999>]\n    \
          [--flight-dir <dir>] [--profile <dir>]\n  \

@@ -5,7 +5,7 @@
 //! crates (`htims-core`, `ims-physics`, …) directly.
 
 pub mod chaos;
-pub mod graph;
+pub use htims_core::graph;
 
 pub use htims_core as core;
 pub use ims_fpga as fpga;

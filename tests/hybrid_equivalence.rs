@@ -1,57 +1,133 @@
-//! Integration: the hybrid (threaded, FPGA-modelled) pipeline computes the
-//! same numbers as the software reference — the central correctness claim
-//! of the paper's architecture — and the design point is feasible on the
-//! target device.
+//! Integration: every hybrid run — any executor, deconvolution backend,
+//! accumulator shard count or on-chip binning — computes the same numbers
+//! as the hand-wired software reference, the central correctness claim of
+//! the paper's architecture; the default runs keep their pinned output
+//! fingerprints; and the design point is feasible on the target device.
 
-use htims::core::acquisition::{acquire, AcquireOptions, GateSchedule};
-use htims::core::hybrid::{run_hybrid, run_software_reference, FrameGenerator, HybridConfig};
+use htims::core::hybrid::reference_block;
+use htims::core::pipeline::output_fingerprint;
 use htims::fpga::deconv::{Convention, DeconvConfig, DeconvCore};
-use htims::fpga::{AccumulatorCore, DmaLink, FpgaDevice, ResourceReport};
-use htims::physics::{Instrument, Workload};
+use htims::fpga::{AccumulatorCore, DmaLink, FpgaDevice, MzBinner, ResourceReport};
+use htims::graph::{replay, CaptureManifest, GraphSpec};
 use htims::prs::{FastMTransform, MSequence};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
-fn generator(degree: u32, mz_bins: usize, seed: u64) -> (FrameGenerator, MSequence, Instrument) {
-    let n = (1usize << degree) - 1;
-    let mut inst = Instrument::with_drift_bins(n);
-    inst.tof.n_bins = mz_bins;
-    let workload = Workload::three_peptide_mix();
-    let schedule = GateSchedule::multiplexed(degree);
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let data = acquire(
-        &inst,
-        &workload,
-        &schedule,
-        1,
-        AcquireOptions::default(),
-        &mut rng,
-    );
-    let seq = MSequence::new(degree);
-    (FrameGenerator::new(&data, &inst.adc, seed), seq, inst)
+/// Output FNV of `GraphSpec::small()`, on every executor and SIMD backend.
+const SMALL_FNV: u64 = 1789432423746869102;
+/// Output FNV of `small()` binned to 30 coarse bins over 3 shards on the
+/// software backend, inline.
+const SMALL_BINNED_SHARDED_FNV: u64 = 14394382939900420617;
+
+/// Each block of `spec.run()` against the reference oracle over the spec's
+/// own acquisition.
+fn assert_matches_reference(spec: &GraphSpec) {
+    let out = spec.run().expect("spec runs");
+    let (gen, seq) = spec.acquisition();
+    let binner = spec.coarse.map(|c| MzBinner::uniform(spec.mz, c));
+    assert_eq!(out.blocks.len(), spec.blocks, "{spec:?}");
+    for (b, block) in out.blocks.iter().enumerate() {
+        let start = b as u64 * spec.frames;
+        let reference = reference_block(
+            &gen,
+            &seq,
+            start,
+            spec.frames,
+            binner.as_ref(),
+            DeconvConfig::default(),
+        );
+        assert_eq!(block.data, reference, "block {b} diverged: {spec:?}");
+    }
 }
 
 #[test]
-fn hybrid_pipeline_is_bit_exact_across_channel_depths() {
-    let (gen, seq, _) = generator(7, 60, 11);
-    let reference = run_software_reference(&gen, &seq, 24, DeconvConfig::default());
+fn every_executor_backend_shard_and_binning_cell_matches_the_reference() {
+    for executor in ["inline", "scheduled"] {
+        for backend in ["fpga", "naive", "software"] {
+            for shards in [0, 1, 3] {
+                for coarse in [None, Some(30)] {
+                    assert_matches_reference(&GraphSpec {
+                        executor: executor.into(),
+                        backend: backend.into(),
+                        shards,
+                        coarse,
+                        ..GraphSpec::small()
+                    });
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn default_runs_keep_their_golden_output_fingerprints() {
+    let out = GraphSpec::small().run().unwrap();
+    assert_eq!(output_fingerprint(&out.blocks), SMALL_FNV);
+    let spec = GraphSpec {
+        executor: "inline".into(),
+        coarse: Some(30),
+        shards: 3,
+        backend: "software".into(),
+        ..GraphSpec::small()
+    };
+    let out = spec.run().unwrap();
+    assert_eq!(output_fingerprint(&out.blocks), SMALL_BINNED_SHARDED_FNV);
+}
+
+#[test]
+fn retired_threaded_executor_is_an_error_in_specs_and_manifests() {
+    let threaded = GraphSpec {
+        executor: "threaded".into(),
+        ..GraphSpec::small()
+    };
+    let Err(err) = threaded.build() else {
+        panic!("the threaded executor must be rejected");
+    };
+    assert!(err.contains("scheduled | inline"), "{err}");
+
+    // Capture logs written before the alias was retired carry
+    // `"executor": "threaded"` in their manifest.
+    let dir = std::env::temp_dir().join(format!("htims_threaded_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_str = dir.to_string_lossy().into_owned();
+    GraphSpec {
+        capture_log: Some(dir_str.clone()),
+        ..GraphSpec::small()
+    }
+    .run()
+    .unwrap();
+    let path = dir.join("manifest.json");
+    let mut manifest: CaptureManifest =
+        serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    assert_eq!(manifest.output_fnv, SMALL_FNV);
+    manifest.spec.executor = "threaded".into();
+    std::fs::write(&path, serde_json::to_string(&manifest).unwrap()).unwrap();
+    let err = replay(&dir_str).unwrap_err();
+    assert!(err.contains("scheduled | inline"), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn hybrid_graph_is_bit_exact_across_channel_depths() {
     for depth in [1usize, 2, 8] {
-        let cfg = HybridConfig {
+        assert_matches_reference(&GraphSpec {
+            degree: 7,
             frames: 24,
-            channel_depth: depth,
-            ..Default::default()
-        };
-        let hybrid = run_hybrid(&gen, &seq, &cfg);
-        assert_eq!(
-            hybrid.deconvolved_raw, reference,
-            "channel depth {depth} changed the result"
-        );
+            blocks: 1,
+            depth,
+            seed: 11,
+            ..GraphSpec::small()
+        });
     }
 }
 
 #[test]
 fn fpga_fixed_point_matches_float_within_one_ulp() {
-    let (gen, seq, _) = generator(8, 40, 12);
+    let (gen, seq) = GraphSpec {
+        degree: 8,
+        mz: 40,
+        seed: 12,
+        ..GraphSpec::small()
+    }
+    .acquisition();
     let mut acc = AccumulatorCore::new(gen.drift_bins(), gen.mz_bins(), 32);
     for f in 0..16 {
         acc.capture_frame(&gen.frame(f)).unwrap();
@@ -111,14 +187,16 @@ fn link_budget_detects_overload() {
 
 #[test]
 fn hybrid_cycle_accounting_matches_model() {
-    let (gen, seq, _) = generator(6, 30, 13);
-    let cfg = HybridConfig {
+    let spec = GraphSpec {
+        mz: 30,
         frames: 10,
-        ..Default::default()
+        blocks: 1,
+        seed: 13,
+        ..GraphSpec::small()
     };
-    let hybrid = run_hybrid(&gen, &seq, &cfg);
-    let acc = AccumulatorCore::new(gen.drift_bins(), gen.mz_bins(), 32);
-    assert_eq!(hybrid.capture_cycles, acc.cycles_per_frame() * 10);
-    let deconv = DeconvCore::new(&seq, cfg.deconv);
-    assert_eq!(hybrid.deconv_cycles, deconv.cycles_per_block(gen.mz_bins()));
+    let report = spec.run().unwrap().report;
+    let acc = AccumulatorCore::new(spec.drift_bins(), spec.mz, 32);
+    assert_eq!(report.capture_cycles, acc.cycles_per_frame() * 10);
+    let deconv = DeconvCore::new(&MSequence::new(spec.degree), DeconvConfig::default());
+    assert_eq!(report.deconv_cycles, deconv.cycles_per_block(spec.mz));
 }
