@@ -19,7 +19,7 @@ use crate::acquisition::AcquiredData;
 use ims_fpga::deconv::{DeconvConfig, DeconvCore};
 use ims_fpga::{AccumulatorCore, MzBinner};
 use ims_prs::MSequence;
-use ims_signal::noise::{gaussian, poisson};
+use ims_signal::noise::{gaussian, poisson, skip_gaussian};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -73,13 +73,23 @@ impl FrameGenerator {
     pub fn frame(&self, frame_no: u64) -> Vec<u32> {
         let mut rng =
             ChaCha8Rng::seed_from_u64(self.seed ^ frame_no.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        // With no ions the signal terms are `0·gain` and `gain·spread·√0·g`,
+        // both ±0 when `gain·spread` is finite (the deviate always is), and
+        // adding ±0 moves no bit of the rounded sample. So a zero count
+        // only has to advance the stream past the shot-noise deviate.
+        let zero_count_skips = (self.gain * self.gain_spread).is_finite();
         self.expected_per_frame
             .iter()
             .map(|&mean| {
                 let n = poisson(&mut rng, mean.max(0.0)) as f64;
-                let amp = n * self.gain
-                    + self.gain * self.gain_spread * n.sqrt() * gaussian(&mut rng)
-                    + self.noise_sigma * gaussian(&mut rng);
+                let amp = if n == 0.0 && zero_count_skips {
+                    skip_gaussian(&mut rng);
+                    self.noise_sigma * gaussian(&mut rng)
+                } else {
+                    n * self.gain
+                        + self.gain * self.gain_spread * n.sqrt() * gaussian(&mut rng)
+                        + self.noise_sigma * gaussian(&mut rng)
+                };
                 amp.clamp(0.0, self.full_scale).round() as u32
             })
             .collect()

@@ -133,7 +133,7 @@ pub struct PipelineReport {
     /// `SessionHandle::join`, carried into session-labeled ledger lines.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub session: Option<String>,
-    /// Frames whose end-to-end latency (packing to accumulation) exceeded
+    /// Frames whose end-to-end latency (generation to accumulation) exceeded
     /// the armed SLO's p99 target. 0 when no SLO was declared.
     #[serde(default)]
     pub frames_over_latency_slo: u64,

@@ -72,14 +72,14 @@ impl FrameSource {
         self.capture = Some(log);
     }
 
-    /// The i-th packet (`i < frames`).
+    /// The i-th packet (`i < frames`). Its origin is stamped when
+    /// generation starts, so end-to-end latency includes the generator; a
+    /// replayed packet is re-stamped the same way, so latency is this
+    /// run's, not the captured run's.
     pub(super) fn packet(&self, i: u64) -> FramePacket {
+        let origin = ims_obs::trace::now_ns();
         if let Some(packets) = &self.replay {
-            // Re-stamp the origin so end-to-end latency measures this
-            // run's packing time, not the captured run's.
-            return packets[i as usize]
-                .clone()
-                .with_origin(ims_obs::trace::now_ns());
+            return packets[i as usize].clone().with_origin(origin);
         }
         let frame_no = self.first_frame + i;
         let words = self.gen.frame(frame_no);
@@ -87,7 +87,8 @@ impl FrameSource {
             FramePacket::from_words_checked(frame_no, &words)
         } else {
             FramePacket::from_words(frame_no, &words)
-        };
+        }
+        .with_origin(origin);
         if let Some(log) = &self.capture {
             // A failed append must never take the run down: the log is a
             // recovery aid, and a run without one merely degrades harder.
@@ -230,7 +231,7 @@ impl Stage for BinnerStage {
                 // binner is the integrity boundary, everything downstream
                 // of it is process-local memory. The origin timestamp is
                 // carried forward so end-to-end latency still measures
-                // from first packing.
+                // from the start of generation.
                 self.binner
                     .bin_frame_into(p.words(), self.drift_bins, &mut self.scratch);
                 emit(Message::Frame(
@@ -511,7 +512,7 @@ impl Stage for AccumulateStage {
                     .expect("frame shape mismatch in pipeline");
                 self.folded.push(p.seq_no);
                 if let Some(tap) = &self.obs {
-                    // End-to-end frame latency: packing at the source to
+                    // End-to-end frame latency: generation start to
                     // arrival in the accumulation RAM.
                     let e2e = ims_obs::trace::now_ns().saturating_sub(p.origin_ns);
                     tap.e2e_hist.record(e2e);

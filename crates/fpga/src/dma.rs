@@ -90,7 +90,9 @@ pub struct FramePacket {
     /// fast path, where no checksum is computed or verified).
     pub checksum: Option<u64>,
     /// Origin timestamp: nanoseconds since the process trace epoch when
-    /// the packet was packed. End-to-end frame latency is measured
+    /// the packet was packed, or earlier when the producer re-stamps it
+    /// (the frame source stamps the start of generation). End-to-end
+    /// frame latency is measured
     /// against this; stages that re-pack a frame must carry it forward
     /// (see [`with_origin`](Self::with_origin)). Not part of the payload
     /// checksum — two runs of the same seed produce identical payloads

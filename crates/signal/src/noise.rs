@@ -43,15 +43,28 @@ pub fn poisson(rng: &mut impl Rng, mean: f64) -> u64 {
 
 /// Standard normal deviate via the Box–Muller transform.
 pub fn gaussian(rng: &mut impl Rng) -> f64 {
-    // Avoid ln(0).
+    let (u1, u2) = box_muller_uniforms(rng);
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// Advances `rng` exactly as [`gaussian`] would, without computing the
+/// deviate: for callers that multiply it by zero, where only the stream
+/// position matters.
+pub fn skip_gaussian(rng: &mut impl Rng) {
+    box_muller_uniforms(rng);
+}
+
+/// The two uniforms one Box–Muller deviate consumes; `u1` is redrawn
+/// until it is above `f64::MIN_POSITIVE`, to avoid `ln(0)`.
+#[inline(always)]
+fn box_muller_uniforms(rng: &mut impl Rng) -> (f64, f64) {
     let u1: f64 = loop {
         let u: f64 = rng.gen();
         if u > f64::MIN_POSITIVE {
             break u;
         }
     };
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    (u1, rng.gen())
 }
 
 /// Replaces each bin's mean intensity with a Poisson draw (shot noise).
@@ -127,7 +140,7 @@ impl ChemicalBackground {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn rng() -> ChaCha8Rng {
@@ -210,6 +223,59 @@ mod tests {
         let a: Vec<u64> = (0..100).map(|_| poisson(&mut r1, 5.0)).collect();
         let b: Vec<u64> = (0..100).map(|_| poisson(&mut r2, 5.0)).collect();
         assert_eq!(a, b);
+    }
+
+    /// A scripted generator: hands out `script` (then zeros) as u64 words
+    /// and counts how many it handed out.
+    struct Scripted {
+        script: Vec<u64>,
+        drawn: usize,
+    }
+
+    impl RngCore for Scripted {
+        fn next_u32(&mut self) -> u32 {
+            self.next_u64() as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            let v = self.script.get(self.drawn).copied().unwrap_or(0);
+            self.drawn += 1;
+            v
+        }
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            for chunk in dest.chunks_mut(8) {
+                let word = self.next_u64().to_le_bytes();
+                chunk.copy_from_slice(&word[..chunk.len()]);
+            }
+        }
+    }
+
+    #[test]
+    fn skip_gaussian_consumes_exactly_what_gaussian_consumes() {
+        // Zero words are rejected `u1`s (0 ≤ MIN_POSITIVE), so the
+        // rejection loop draws again; both paths must take the same words
+        // and leave the stream at the same position.
+        let script = vec![0, 0, u64::MAX, 1 << 62, 12345];
+        let mut a = Scripted {
+            script: script.clone(),
+            drawn: 0,
+        };
+        let mut b = Scripted { script, drawn: 0 };
+        let g = gaussian(&mut a);
+        skip_gaussian(&mut b);
+        assert!(g.is_finite());
+        assert_eq!(a.drawn, 4, "two rejected u1 draws, then u1 and u2");
+        assert_eq!(a.drawn, b.drawn);
+        assert_eq!(a.next_u64(), b.next_u64());
+
+        for seed in 0..5 {
+            let mut a = ChaCha8Rng::seed_from_u64(seed);
+            let mut b = a.clone();
+            for _ in 0..1000 {
+                gaussian(&mut a);
+                skip_gaussian(&mut b);
+            }
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "seed {seed}");
+        }
     }
 
     #[test]
