@@ -19,7 +19,8 @@ use crate::acquisition::AcquiredData;
 use ims_fpga::deconv::{DeconvConfig, DeconvCore};
 use ims_fpga::{AccumulatorCore, MzBinner};
 use ims_prs::MSequence;
-use ims_signal::noise::{gaussian, poisson, skip_gaussian};
+use ims_signal::noise::{gaussian, gaussian_uniforms, poisson, rounded_gaussians};
+use ims_signal::simd::{self, Backend};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -71,28 +72,101 @@ impl FrameGenerator {
 
     /// Generates frame `frame_no` — bit-reproducible for a given generator.
     pub fn frame(&self, frame_no: u64) -> Vec<u32> {
+        self.frame_on(simd::active(), frame_no)
+    }
+
+    /// [`frame`](Self::frame) with the noise kernel on an explicit SIMD
+    /// backend; every available backend yields the same frame. Panics
+    /// when `be` is not available on this CPU.
+    ///
+    /// Cells are walked in order and every draw is taken in the order a
+    /// per-cell loop takes it: a Poisson count (a cell with mean 0, about
+    /// 97% of an E3 frame, draws nothing and counts 0), then a shot-noise
+    /// and an electronic-noise deviate. With a count of 0 the signal terms
+    /// are `0·gain` and `gain·spread·√0·g`, both ±0 when `gain·spread` is
+    /// finite (the deviate always is), and adding ±0 moves no bit of the
+    /// rounded sample. So such a cell draws its shot-noise pair and drops
+    /// it, and its electronic-noise pair joins a batch of up to 64 cells
+    /// that [`rounded_gaussians`] turns into samples at once. Every other
+    /// cell is sampled on the spot.
+    pub fn frame_on(&self, be: Backend, frame_no: u64) -> Vec<u32> {
         let mut rng =
             ChaCha8Rng::seed_from_u64(self.seed ^ frame_no.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        // With no ions the signal terms are `0·gain` and `gain·spread·√0·g`,
-        // both ±0 when `gain·spread` is finite (the deviate always is), and
-        // adding ±0 moves no bit of the rounded sample. So a zero count
-        // only has to advance the stream past the shot-noise deviate.
-        let zero_count_skips = (self.gain * self.gain_spread).is_finite();
-        self.expected_per_frame
-            .iter()
-            .map(|&mean| {
-                let n = poisson(&mut rng, mean.max(0.0)) as f64;
-                let amp = if n == 0.0 && zero_count_skips {
-                    skip_gaussian(&mut rng);
-                    self.noise_sigma * gaussian(&mut rng)
-                } else {
-                    n * self.gain
-                        + self.gain * self.gain_spread * n.sqrt() * gaussian(&mut rng)
-                        + self.noise_sigma * gaussian(&mut rng)
-                };
-                amp.clamp(0.0, self.full_scale).round() as u32
-            })
-            .collect()
+        let batchable = (self.gain * self.gain_spread).is_finite();
+        let mut out = vec![0u32; self.expected_per_frame.len()];
+        let mut batch = Batch::default();
+        for (i, &mean) in self.expected_per_frame.iter().enumerate() {
+            let n = poisson(&mut rng, mean.max(0.0)) as f64;
+            if n == 0.0 && batchable {
+                gaussian_uniforms(&mut rng);
+                let (u1, u2) = gaussian_uniforms(&mut rng);
+                if batch.push(i, u1, u2) {
+                    batch.flush(be, self.noise_sigma, self.full_scale, &mut out);
+                }
+            } else {
+                let amp = n * self.gain
+                    + self.gain * self.gain_spread * n.sqrt() * gaussian(&mut rng)
+                    + self.noise_sigma * gaussian(&mut rng);
+                out[i] = amp.clamp(0.0, self.full_scale).round() as u32;
+            }
+        }
+        batch.flush(be, self.noise_sigma, self.full_scale, &mut out);
+        out
+    }
+}
+
+/// Zero-count cells per noise-kernel call. Batches fill across runs of
+/// other cells, so a short zero run costs a push, not a kernel call.
+const BATCH: usize = 64;
+
+/// Zero-count cells of one frame waiting for the noise kernel: their
+/// indices and electronic-noise uniform pairs.
+struct Batch {
+    cells: [usize; BATCH],
+    u1: [f64; BATCH],
+    u2: [f64; BATCH],
+    samples: [u32; BATCH],
+    len: usize,
+}
+
+impl Default for Batch {
+    fn default() -> Self {
+        Self {
+            cells: [0; BATCH],
+            u1: [0.0; BATCH],
+            u2: [0.0; BATCH],
+            samples: [0; BATCH],
+            len: 0,
+        }
+    }
+}
+
+impl Batch {
+    /// Queues cell `cell`; returns whether the batch is now full.
+    #[inline(always)]
+    fn push(&mut self, cell: usize, u1: f64, u2: f64) -> bool {
+        self.cells[self.len] = cell;
+        self.u1[self.len] = u1;
+        self.u2[self.len] = u2;
+        self.len += 1;
+        self.len == BATCH
+    }
+
+    /// Samples every queued cell into `frame` and empties the batch.
+    fn flush(&mut self, be: Backend, sigma: f64, full_scale: f64, frame: &mut [u32]) {
+        let n = self.len;
+        rounded_gaussians(
+            be,
+            &self.u1[..n],
+            &self.u2[..n],
+            sigma,
+            full_scale,
+            &mut self.samples[..n],
+        );
+        for (&cell, &sample) in self.cells[..n].iter().zip(&self.samples[..n]) {
+            frame[cell] = sample;
+        }
+        self.len = 0;
     }
 }
 

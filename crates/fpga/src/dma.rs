@@ -115,10 +115,9 @@ impl FramePacket {
     }
 
     fn pack(seq_no: u64, words: &[u32], checked: bool) -> Self {
-        let mut buf = Vec::with_capacity(words.len() * 4);
-        for w in words {
-            buf.extend_from_slice(&w.to_le_bytes());
-        }
+        // One pass over exact-size arrays: the collect allocates once and
+        // copies without a per-word length check.
+        let buf: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
         let checksum = checked.then(|| fnv1a64(&buf));
         Self {
             seq_no,
@@ -255,6 +254,9 @@ mod tests {
         assert_eq!(p.seq_no, 7);
         assert_eq!(p.frame_id(), 7);
         assert_eq!(p.len_bytes(), 400);
+        // Little-endian words, back to back.
+        assert_eq!(&p.payload[..8], &[0, 0, 0, 0, 17, 0, 0, 0]);
+        assert_eq!(&p.payload[396..], &(99u32 * 17).to_le_bytes());
         assert_eq!(p.to_words(), words);
     }
 

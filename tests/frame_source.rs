@@ -1,5 +1,6 @@
-//! Integration: the frame stream is pinned by golden FNVs at the E3 shape;
-//! the scheduled frame source emits what the inline reference emits — the
+//! Integration: the frame stream is pinned by golden FNVs at the E3 shape
+//! and equals a per-cell libm reference loop on every SIMD backend; the
+//! scheduled frame source emits what the inline reference emits — the
 //! same capture-log order, the same fault decisions — and accounts one
 //! latency sample per frame; end-to-end latency starts when a frame's
 //! generation starts.
@@ -7,10 +8,18 @@
 //! Every scheduled run here uses a private 4-worker pool via `spawn_on`,
 //! so the schedule does not depend on the machine's core count.
 
+use htims::core::acquisition::{acquire, AcquireOptions, AcquiredData, GateSchedule};
 use htims::core::capture::{CaptureLog, CAPTURE_SCHEMA_VERSION};
+use htims::core::hybrid::FrameGenerator;
 use htims::core::pipeline::{output_fingerprint, PipelineOutput, Scheduler};
 use htims::fpga::dma::fnv1a64;
 use htims::graph::{replay, CaptureManifest, GraphSpec};
+use htims::physics::detector::AdcDetector;
+use htims::physics::{Instrument, Workload};
+use htims::signal::noise::{gaussian, poisson};
+use htims::signal::simd;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use std::path::{Path, PathBuf};
 
 /// FNV-1a 64 over the little-endian words of `GraphSpec::e3()` frames:
@@ -69,6 +78,98 @@ fn e3_frames_keep_their_golden_fnvs() {
             .collect();
         assert_eq!(fnv1a64(&bytes), fnv, "E3 frame {frame_no}");
     }
+}
+
+/// `spec`'s acquisition as [`GraphSpec::acquisition`] draws it, with the
+/// instrument's ADC replaced by `adc`: the expectation, the ADC and the
+/// frame-stream seed a generator is built from.
+fn acquisition_with(spec: &GraphSpec, adc: AdcDetector) -> (AcquiredData, AdcDetector, u64) {
+    let mut inst = Instrument::with_drift_bins(spec.drift_bins());
+    inst.tof.n_bins = spec.mz;
+    inst.adc = adc;
+    let mut rng = ChaCha8Rng::seed_from_u64(spec.seed);
+    let data = acquire(
+        &inst,
+        &Workload::three_peptide_mix(),
+        &GateSchedule::multiplexed(spec.degree),
+        1,
+        AcquireOptions::default(),
+        &mut rng,
+    );
+    (data, inst.adc, spec.seed.wrapping_add(1227))
+}
+
+/// The per-cell reference loop: every cell draws its Poisson count, then
+/// its shot-noise and electronic-noise deviates with libm, and sums all
+/// three terms, whatever the count.
+fn per_cell_frame(data: &AcquiredData, adc: &AdcDetector, seed: u64, frame_no: u64) -> Vec<u32> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ frame_no.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    data.expected
+        .data()
+        .iter()
+        .map(|&mean| {
+            let n = poisson(&mut rng, mean.max(0.0)) as f64;
+            let amp = n * adc.gain
+                + adc.gain * adc.gain_spread * n.sqrt() * gaussian(&mut rng)
+                + adc.noise_sigma * gaussian(&mut rng);
+            amp.clamp(0.0, adc.full_scale).round() as u32
+        })
+        .collect()
+}
+
+/// Every available backend's frames equal the per-cell loop's; returns
+/// the first frame.
+fn assert_frames_match_per_cell(
+    label: &str,
+    spec: &GraphSpec,
+    adc: AdcDetector,
+    frames: &[u64],
+) -> Vec<u32> {
+    let (data, adc, seed) = acquisition_with(spec, adc);
+    let gen = FrameGenerator::new(&data, &adc, seed);
+    let mut first = None;
+    for &frame_no in frames {
+        let expected = per_cell_frame(&data, &adc, seed, frame_no);
+        for be in simd::available_backends() {
+            assert!(
+                gen.frame_on(be, frame_no) == expected,
+                "{label} frame {frame_no} diverged on {}",
+                be.name()
+            );
+        }
+        first.get_or_insert(expected);
+    }
+    first.expect("at least one frame")
+}
+
+#[test]
+fn e3_frames_match_the_per_cell_loop_on_every_backend() {
+    let frame0 =
+        assert_frames_match_per_cell("E3", &GraphSpec::e3(), AdcDetector::default(), &[0, 1]);
+    // The helper drew the spec's own acquisition: frame 0 is the golden one.
+    let bytes: Vec<u8> = frame0.iter().flat_map(|w| w.to_le_bytes()).collect();
+    assert_eq!((0, fnv1a64(&bytes)), E3_FRAME_FNVS[0]);
+}
+
+#[test]
+fn small_and_edge_adc_frames_match_the_per_cell_loop_on_every_backend() {
+    // The multi-tenant benchmark's shape: degree 6 × 60 m/z, where zero
+    // runs between nonzero cells are short.
+    let small = GraphSpec::small();
+    assert_frames_match_per_cell("small", &small, AdcDetector::default(), &[0, 1, 2]);
+    // A non-finite gain·spread sends every cell down the scalar path.
+    let unbounded_spread = AdcDetector {
+        gain_spread: f64::INFINITY,
+        ..AdcDetector::default()
+    };
+    assert_frames_match_per_cell("infinite spread", &small, unbounded_spread, &[0, 1]);
+    // σ = 5e4 clamps at full scale and puts a rounding boundary every
+    // 2e-5 of the deviate.
+    let loud = AdcDetector {
+        noise_sigma: 5e4,
+        ..AdcDetector::default()
+    };
+    assert_frames_match_per_cell("σ = 5e4", &small, loud, &[0, 1]);
 }
 
 #[test]
