@@ -33,10 +33,17 @@
 //! [`CaptureLog::finish`]. Opening for read validates every record's FNV
 //! and *physically truncates* a corrupt tail (the torn write of a crashed
 //! producer), keeping every intact prefix record.
+//!
+//! Reads take each segment into one exactly-sized buffer, locate records
+//! from their length fields, and check the FNV trailers four records at a
+//! time in lock-step ([`fnv1a64_x4`]), across segment boundaries; a
+//! record counts only if every earlier record of its segment does.
+//! Payloads are handed out as zero-copy slices of the segment buffer.
 
-use ims_fpga::dma::{fnv1a64, FramePacket};
+use ims_fpga::dma::{fnv1a64, fnv1a64_x4, FramePacket};
+use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -120,23 +127,21 @@ impl CaptureLog {
     /// that segment at the last intact record and ignoring any later
     /// segments; every validated prefix record survives.
     pub fn open(dir: &Path) -> std::io::Result<Self> {
-        let mut index = 0u64;
-        loop {
-            let path = segment_path(dir, index);
-            if !path.exists() {
-                if index == 0 {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::NotFound,
-                        format!("no capture segments in {}", dir.display()),
-                    ));
-                }
-                break;
-            }
-            let truncated = validate_segment(&path)?;
-            if truncated {
+        if !segment_path(dir, 0).exists() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::NotFound,
+                format!("no capture segments in {}", dir.display()),
+            ));
+        }
+        for segment in Scanner::new(dir) {
+            let intact = segment.intact_len();
+            if intact < segment.bytes?.len() {
+                let file = OpenOptions::new().write(true).open(&segment.path)?;
+                file.set_len(intact as u64)?;
+                file.sync_all()?;
+                ims_obs::static_counter!("capture.tail_truncations").incr();
                 break; // later segments postdate the torn write
             }
-            index += 1;
         }
         Ok(Self {
             inner: Arc::new(Mutex::new(Inner {
@@ -195,8 +200,12 @@ impl CaptureLog {
 
     /// Reads every logged packet, in append order. Works on both handle
     /// modes (a writable handle flushes first, so a mid-run rebuild sees
-    /// everything appended so far). `origin_ns` is re-stamped at read
-    /// time — it is not logged (see the module docs).
+    /// everything appended so far). Each segment's records are read up to
+    /// its first torn or corrupt one (a handle that skipped `open`'s
+    /// validation — the mid-run rebuild path — may see its own live
+    /// segment's tail mid-write). Payloads are zero-copy slices of the
+    /// segment buffers. `origin_ns` is re-stamped at read time — it is
+    /// not logged (see the module docs).
     pub fn read_all(&self) -> std::io::Result<Vec<FramePacket>> {
         let mut inner = self.inner.lock().unwrap();
         if let Mode::Append { writer, .. } = &mut inner.mode {
@@ -205,36 +214,41 @@ impl CaptureLog {
         let dir = inner.dir.clone();
         drop(inner);
         let mut out = Vec::new();
-        let mut index = 0u64;
-        loop {
-            let path = segment_path(&dir, index);
-            if !path.exists() {
-                break;
-            }
-            read_segment(&path, &mut out)?;
-            index += 1;
+        for segment in Scanner::new(&dir) {
+            let accepted = segment.accepted();
+            let bytes = segment.bytes?;
+            out.extend(segment.records[..accepted].iter().map(|r| FramePacket {
+                seq_no: r.seq_no,
+                payload: bytes.slice(r.payload.clone()),
+                checksum: r.checksum,
+                origin_ns: ims_obs::trace::now_ns(),
+            }));
         }
         Ok(out)
     }
 
-    /// Reads exactly the packets with the given seq-nos, erroring if any
-    /// is missing — the shard-rebuild read path, where a partial frame
-    /// set would rebuild a *wrong* shard rather than no shard.
+    /// Reads exactly the packets with the given seq-nos, in the order
+    /// asked (repeats allowed), erroring if any is missing — the
+    /// shard-rebuild read path, where a partial frame set would rebuild a
+    /// *wrong* shard rather than no shard. One pass over the log builds a
+    /// `seq_no → packet` map; a seq-no logged twice resolves to its first
+    /// record.
     pub fn read_frames(&self, seq_nos: &[u64]) -> std::io::Result<Vec<FramePacket>> {
-        let all = self.read_all()?;
-        let mut out = Vec::with_capacity(seq_nos.len());
-        for &seq in seq_nos {
-            match all.iter().find(|p| p.seq_no == seq) {
-                Some(p) => out.push(p.clone()),
-                None => {
-                    return Err(std::io::Error::new(
+        let mut by_seq = HashMap::new();
+        for p in self.read_all()? {
+            by_seq.entry(p.seq_no).or_insert(p);
+        }
+        seq_nos
+            .iter()
+            .map(|seq| {
+                by_seq.get(seq).cloned().ok_or_else(|| {
+                    std::io::Error::new(
                         std::io::ErrorKind::NotFound,
                         format!("frame {seq} not in capture log"),
-                    ))
-                }
-            }
-        }
-        Ok(out)
+                    )
+                })
+            })
+            .collect()
     }
 }
 
@@ -264,43 +278,52 @@ fn encode_record(packet: &FramePacket) -> Vec<u8> {
     buf
 }
 
-/// Parses one record from `bytes[at..]`. Returns `(packet, next_offset)`,
-/// or `None` for a short / FNV-mismatched record (a torn tail).
-fn decode_record(bytes: &[u8], at: usize) -> Option<(FramePacket, usize)> {
-    let rest = &bytes[at..];
-    if rest.len() < 13 {
-        return None;
+/// Where one record sits in its segment buffer, located from its length
+/// fields alone (its FNV trailer is checked separately).
+#[derive(Debug)]
+struct Record {
+    /// Offset of the record's first byte.
+    at: usize,
+    /// The payload; its end is where the FNV trailer starts, so the
+    /// hashed bytes are `at..payload.end`.
+    payload: std::ops::Range<usize>,
+    /// The FNV trailer's value.
+    stored_fnv: u64,
+    seq_no: u64,
+    checksum: Option<u64>,
+}
+
+impl Record {
+    /// Offset just past the record.
+    fn end(&self) -> usize {
+        self.payload.end + 8
     }
-    let payload_len = u32::from_le_bytes(rest[0..4].try_into().unwrap()) as usize;
-    let seq_no = u64::from_le_bytes(rest[4..12].try_into().unwrap());
-    let has_checksum = rest[12] & 1 != 0;
-    let mut off = 13;
+}
+
+/// Locates the record starting at `bytes[at..]`, or `None` when the
+/// bytes left are too short to hold it (a torn tail).
+fn locate_record(bytes: &[u8], at: usize) -> Option<Record> {
+    let rest = &bytes[at..];
+    let word = |off: usize, n: usize| rest.get(off..off.checked_add(n)?);
+    let payload_len = u32::from_le_bytes(word(0, 4)?.try_into().ok()?) as usize;
+    let seq_no = u64::from_le_bytes(word(4, 8)?.try_into().ok()?);
+    let has_checksum = *rest.get(12)? & 1 != 0;
+    let mut off = 13usize;
     let checksum = if has_checksum {
-        if rest.len() < off + 8 {
-            return None;
-        }
-        let sum = u64::from_le_bytes(rest[off..off + 8].try_into().unwrap());
         off += 8;
-        Some(sum)
+        Some(u64::from_le_bytes(word(13, 8)?.try_into().ok()?))
     } else {
         None
     };
-    if rest.len() < off + payload_len + 8 {
-        return None;
-    }
-    let payload = &rest[off..off + payload_len];
-    off += payload_len;
-    let stored_fnv = u64::from_le_bytes(rest[off..off + 8].try_into().unwrap());
-    if fnv1a64(&rest[..off]) != stored_fnv {
-        return None;
-    }
-    let packet = FramePacket {
+    let trailer = off.checked_add(payload_len)?;
+    let stored_fnv = u64::from_le_bytes(word(trailer, 8)?.try_into().ok()?);
+    Some(Record {
+        at,
+        payload: at + off..at + trailer,
+        stored_fnv,
         seq_no,
-        payload: bytes::Bytes::copy_from_slice(payload),
         checksum,
-        origin_ns: ims_obs::trace::now_ns(),
-    };
-    Some((packet, at + off + 8))
+    })
 }
 
 fn read_header(bytes: &[u8], path: &Path) -> std::io::Result<()> {
@@ -323,48 +346,141 @@ fn read_header(bytes: &[u8], path: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Validates `path`, truncating a torn tail in place. Returns `true` when
-/// truncation happened (later segments must be ignored).
-fn validate_segment(path: &Path) -> std::io::Result<bool> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    read_header(&bytes, path)?;
-    let mut at = HEADER_LEN as usize;
-    while at < bytes.len() {
-        match decode_record(&bytes, at) {
-            Some((_, next)) => at = next,
-            None => {
-                let file = OpenOptions::new().write(true).open(path)?;
-                file.set_len(at as u64)?;
-                file.sync_all()?;
-                ims_obs::static_counter!("capture.tail_truncations").incr();
-                return Ok(true);
-            }
-        }
-    }
-    Ok(false)
+/// One segment file read whole into one exactly-sized buffer, with its
+/// records located and (once the scanner reaches them) verified.
+#[derive(Debug)]
+struct Segment {
+    path: PathBuf,
+    /// The file's bytes, or the error reading it or its header.
+    bytes: std::io::Result<bytes::Bytes>,
+    /// Every record the length fields locate, in file order (none when
+    /// `bytes` is an error).
+    records: Vec<Record>,
+    /// FNV verdicts for `records[..verdicts.len()]`.
+    verdicts: Vec<bool>,
 }
 
-fn read_segment(path: &Path, out: &mut Vec<FramePacket>) -> std::io::Result<()> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    read_header(&bytes, path)?;
-    let mut at = HEADER_LEN as usize;
-    while at < bytes.len() {
-        match decode_record(&bytes, at) {
-            Some((packet, next)) => {
-                out.push(packet);
-                at = next;
-            }
-            None => {
-                // A torn tail on a handle that skipped open()'s
-                // validation (the mid-run rebuild path reads its own
-                // live segment): stop at the last intact record.
-                break;
+impl Segment {
+    fn read(path: PathBuf) -> Self {
+        let bytes = std::fs::read(&path).and_then(|b| read_header(&b, &path).map(|()| b));
+        let mut records = Vec::new();
+        if let Ok(b) = &bytes {
+            let mut at = HEADER_LEN as usize;
+            while let Some(r) = (at < b.len()).then(|| locate_record(b, at)).flatten() {
+                at = r.end();
+                records.push(r);
             }
         }
+        Self {
+            path,
+            bytes: bytes.map(bytes::Bytes::from),
+            records,
+            verdicts: Vec::new(),
+        }
     }
-    Ok(())
+
+    fn unverified(&self) -> usize {
+        self.records.len() - self.verdicts.len()
+    }
+
+    /// Records accepted: record i is accepted only if its FNV matches and
+    /// every earlier record was accepted.
+    fn accepted(&self) -> usize {
+        self.verdicts.iter().take_while(|&&ok| ok).count()
+    }
+
+    /// Length of the intact prefix (header plus accepted records); the
+    /// rest of the file is a torn or corrupt tail.
+    fn intact_len(&self) -> usize {
+        match self.records.get(self.accepted()) {
+            Some(r) => r.at,
+            None => self.records.last().map_or(HEADER_LEN as usize, Record::end),
+        }
+    }
+}
+
+/// Records hashed in lock-step by [`fnv1a64_x4`].
+const LANES: usize = 4;
+
+/// Walks a log's segments in order, yielding each once all its records
+/// are verified. Record trailers are checked [`LANES`] records at a time
+/// — four independent FNV chains, taken in log order across segment
+/// boundaries — so a segment is read ahead of the one being yielded only
+/// as far as the next group needs. Stopping early (as `open` does at a
+/// torn segment) leaves later segments unread past that look-ahead.
+struct Scanner<'a> {
+    dir: &'a Path,
+    next_index: u64,
+    exhausted: bool,
+    queue: VecDeque<Segment>,
+}
+
+impl<'a> Scanner<'a> {
+    fn new(dir: &'a Path) -> Self {
+        Self {
+            dir,
+            next_index: 0,
+            exhausted: false,
+            queue: VecDeque::new(),
+        }
+    }
+
+    /// Reads the next segment file into the queue; `false` at the end.
+    fn read_next(&mut self) -> bool {
+        let path = segment_path(self.dir, self.next_index);
+        if self.exhausted || !path.exists() {
+            self.exhausted = true;
+            return false;
+        }
+        self.queue.push_back(Segment::read(path));
+        self.next_index += 1;
+        true
+    }
+
+    /// Hashes the next (up to) [`LANES`] unverified records of the queue
+    /// in lock-step and records their verdicts.
+    fn verify_group(&mut self) {
+        let mut group: Vec<(usize, usize)> = Vec::with_capacity(LANES);
+        for (q, seg) in self.queue.iter().enumerate() {
+            let from = seg.verdicts.len();
+            let take = seg.unverified().min(LANES - group.len());
+            group.extend((from..from + take).map(|r| (q, r)));
+        }
+        let mut parts: [&[u8]; LANES] = [&[]; LANES];
+        for (part, &(q, r)) in parts.iter_mut().zip(&group) {
+            let seg = &self.queue[q];
+            // Only a readable segment has located records.
+            let bytes = seg.bytes.as_deref().unwrap_or_default();
+            let rec = &seg.records[r];
+            *part = &bytes[rec.at..rec.payload.end];
+        }
+        let hashes = fnv1a64_x4(parts);
+        for (&(q, r), hash) in group.iter().zip(hashes) {
+            let seg = &mut self.queue[q];
+            let ok = hash == seg.records[r].stored_fnv;
+            seg.verdicts.push(ok);
+        }
+    }
+}
+
+impl Iterator for Scanner<'_> {
+    type Item = Segment;
+
+    fn next(&mut self) -> Option<Segment> {
+        loop {
+            if self.queue.front().is_some_and(|s| s.unverified() == 0) {
+                return self.queue.pop_front();
+            }
+            let pending: usize = self.queue.iter().map(Segment::unverified).sum();
+            if pending < LANES && self.read_next() {
+                continue;
+            }
+            if pending == 0 {
+                return None;
+            }
+            self.verify_group();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -427,16 +543,27 @@ mod tests {
     #[test]
     fn read_frames_selects_by_seq_and_errors_on_missing() {
         let dir = temp_dir("select");
-        let log = CaptureLog::create(&dir).unwrap();
-        for i in 0..8 {
-            log.append(&packet(i, false)).unwrap();
+        // Small segments: the 64 packets span many of them.
+        let log = CaptureLog::create_with_segment_bytes(&dir, 500).unwrap();
+        let packets: Vec<FramePacket> = (0..64).map(|i| packet(i, i % 3 == 0)).collect();
+        for p in &packets {
+            log.append(p).unwrap();
         }
-        let picked = log.read_frames(&[6, 2, 2]).unwrap();
-        assert_eq!(
-            picked.iter().map(|p| p.seq_no).collect::<Vec<_>>(),
-            vec![6, 2, 2]
-        );
-        assert!(log.read_frames(&[99]).is_err(), "missing seq must error");
+        // Out of order, with repeats, first and last included.
+        let picks = [63, 6, 2, 2, 40, 0, 63, 17, 6];
+        let picked = log.read_frames(&picks).unwrap();
+        assert_eq!(picked.len(), picks.len());
+        for (p, &seq) in picked.iter().zip(&picks) {
+            let want = &packets[seq as usize];
+            assert_eq!(p.seq_no, seq);
+            assert_eq!(p.payload, want.payload);
+            assert_eq!(p.checksum, want.checksum);
+        }
+        assert!(log.read_frames(&[]).unwrap().is_empty());
+        for missing in [&[99][..], &[5, 64, 7], &[3, 3, u64::MAX]] {
+            let err = log.read_frames(missing).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{missing:?}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -531,6 +658,208 @@ mod tests {
         ro.append(&packet(1, false)).unwrap();
         ro.finish().unwrap();
         assert_eq!(ro.read_all().unwrap().len(), 1, "read-only must not grow");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The sequential record walk the reader replaced, kept as its oracle:
+    /// parses one record from `bytes[at..]`, returning `(seq_no, payload,
+    /// checksum, next_offset)`, or `None` for a short or FNV-mismatched
+    /// record (a torn tail).
+    fn decode_record(bytes: &[u8], at: usize) -> Option<(Logged, usize)> {
+        let rest = &bytes[at..];
+        if rest.len() < 13 {
+            return None;
+        }
+        let payload_len = u32::from_le_bytes(rest[0..4].try_into().unwrap()) as usize;
+        let seq_no = u64::from_le_bytes(rest[4..12].try_into().unwrap());
+        let has_checksum = rest[12] & 1 != 0;
+        let mut off = 13;
+        let checksum = if has_checksum {
+            if rest.len() < off + 8 {
+                return None;
+            }
+            let sum = u64::from_le_bytes(rest[off..off + 8].try_into().unwrap());
+            off += 8;
+            Some(sum)
+        } else {
+            None
+        };
+        if rest.len() < off + payload_len + 8 {
+            return None;
+        }
+        let payload = rest[off..off + payload_len].to_vec();
+        off += payload_len;
+        let stored_fnv = u64::from_le_bytes(rest[off..off + 8].try_into().unwrap());
+        if fnv1a64(&rest[..off]) != stored_fnv {
+            return None;
+        }
+        Some(((seq_no, payload, checksum), at + off + 8))
+    }
+
+    /// `(seq_no, payload, checksum)` of one record.
+    type Logged = (u64, Vec<u8>, Option<u64>);
+
+    fn logged(packets: &[FramePacket]) -> Vec<Logged> {
+        packets
+            .iter()
+            .map(|p| (p.seq_no, p.payload.to_vec(), p.checksum))
+            .collect()
+    }
+
+    /// Oracle `read_all`: every segment in order, each up to its first
+    /// record that fails to decode. `None` where a header is bad.
+    fn oracle_read(segments: &[Vec<u8>]) -> Option<Vec<Logged>> {
+        let mut out = Vec::new();
+        for bytes in segments {
+            read_header(bytes, Path::new("seg")).ok()?;
+            let mut at = HEADER_LEN as usize;
+            while let Some((rec, next)) = (at < bytes.len())
+                .then(|| decode_record(bytes, at))
+                .flatten()
+            {
+                out.push(rec);
+                at = next;
+            }
+        }
+        Some(out)
+    }
+
+    /// Oracle `open`: truncates the first segment with a torn or corrupt
+    /// record at its last intact record and leaves later segments alone.
+    fn oracle_open(segments: &mut [Vec<u8>]) {
+        for bytes in segments.iter_mut() {
+            let mut at = HEADER_LEN as usize;
+            while at < bytes.len() {
+                match decode_record(bytes, at) {
+                    Some((_, next)) => at = next,
+                    None => {
+                        bytes.truncate(at);
+                        return;
+                    }
+                }
+            }
+        }
+    }
+
+    fn write_segments(dir: &Path, segments: &[Vec<u8>]) {
+        for (i, bytes) in segments.iter().enumerate() {
+            std::fs::write(segment_path(dir, i as u64), bytes).unwrap();
+        }
+    }
+
+    fn read_segments(dir: &Path, count: usize) -> Vec<Vec<u8>> {
+        (0..count as u64)
+            .map(|i| std::fs::read(segment_path(dir, i)).unwrap())
+            .collect()
+    }
+
+    /// Checks the reader against the oracle on one (possibly damaged)
+    /// log: `read_all` on a handle that skipped validation, then `open`'s
+    /// truncation, then `read_all` after it.
+    fn assert_matches_oracle(dir: &Path, segments: &[Vec<u8>], case: &str) {
+        write_segments(dir, segments);
+        let raw = CaptureLog {
+            inner: Arc::new(Mutex::new(Inner {
+                dir: dir.to_path_buf(),
+                mode: Mode::ReadOnly,
+            })),
+        };
+        let want = oracle_read(segments).expect("headers are intact");
+        assert_eq!(logged(&raw.read_all().unwrap()), want, "read_all, {case}");
+
+        let mut opened = segments.to_vec();
+        oracle_open(&mut opened);
+        let log = CaptureLog::open(dir).unwrap();
+        assert_eq!(read_segments(dir, segments.len()), opened, "open, {case}");
+        let want = oracle_read(&opened).expect("headers are intact");
+        assert_eq!(
+            logged(&log.read_all().unwrap()),
+            want,
+            "read after open, {case}"
+        );
+    }
+
+    #[test]
+    fn reader_matches_the_sequential_walk_under_flips_and_truncation() {
+        let dir = temp_dir("adversarial");
+        // 12 records of two lengths (checked ones carry 8 more bytes),
+        // three per segment: every four-record group straddles segments.
+        let log = CaptureLog::create_with_segment_bytes(&dir, 300).unwrap();
+        for i in 0..12 {
+            log.append(&packet(i, i % 2 == 1)).unwrap();
+        }
+        log.finish().unwrap();
+        let n_segments = std::fs::read_dir(&dir).unwrap().count();
+        assert!(n_segments >= 3, "{n_segments} segments");
+        let pristine = read_segments(&dir, n_segments);
+        assert_matches_oracle(&dir, &pristine, "intact");
+
+        // Locate every record with the oracle walk.
+        let mut records = Vec::new();
+        for (s, bytes) in pristine.iter().enumerate() {
+            let mut at = HEADER_LEN as usize;
+            while let Some((_, next)) = (at < bytes.len())
+                .then(|| decode_record(bytes, at))
+                .flatten()
+            {
+                records.push((s, at, next));
+                at = next;
+            }
+        }
+        assert_eq!(records.len(), 12);
+        // The first record, one mid-log (last of its segment), and the
+        // last record of the log.
+        for &(s, start, end) in [records[0], records[5], records[11]].iter() {
+            for at in start..end {
+                for mask in [0x01u8, 0x80, 0xFF] {
+                    let mut damaged = pristine.clone();
+                    damaged[s][at] ^= mask;
+                    assert_matches_oracle(
+                        &dir,
+                        &damaged,
+                        &format!("seg {s} byte {at} ^ {mask:#x}"),
+                    );
+                }
+                let mut torn = pristine.clone();
+                torn[s].truncate(at);
+                assert_matches_oracle(&dir, &torn, &format!("seg {s} cut at {at}"));
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn oversized_length_field_reads_as_a_torn_tail() {
+        let dir = temp_dir("oversized");
+        let log = CaptureLog::create(&dir).unwrap();
+        for i in 0..3 {
+            log.append(&packet(i, true)).unwrap();
+        }
+        log.finish().unwrap();
+        let mut seg = read_segments(&dir, 1);
+        // The second record's payload_len claims 4 GiB.
+        let (_, second) = decode_record(&seg[0], HEADER_LEN as usize).unwrap();
+        seg[0][second..second + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_matches_oracle(&dir, &seg, "payload_len = u32::MAX");
+        assert_eq!(CaptureLog::open(&dir).unwrap().read_all().unwrap().len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn read_payloads_are_slices_of_one_segment_buffer() {
+        let dir = temp_dir("zerocopy");
+        let log = CaptureLog::create(&dir).unwrap();
+        for i in 0..3 {
+            log.append(&packet(i, i == 1)).unwrap();
+        }
+        let back = log.read_all().unwrap();
+        // One segment: consecutive payloads sit one record apart in the
+        // same allocation.
+        let gap = |a: &FramePacket, b: &FramePacket| {
+            b.payload.as_ptr() as usize - a.payload.as_ptr() as usize
+        };
+        assert_eq!(gap(&back[0], &back[1]), back[0].len_bytes() + 8 + 13 + 8);
+        assert_eq!(gap(&back[1], &back[2]), back[1].len_bytes() + 8 + 13);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -508,7 +508,7 @@ impl Stage for AccumulateStage {
                     return;
                 }
                 self.acc
-                    .capture_frame_iter(p.words())
+                    .capture_frame_bytes(&p.payload)
                     .expect("frame shape mismatch in pipeline");
                 self.folded.push(p.seq_no);
                 if let Some(tap) = &self.obs {

@@ -37,6 +37,59 @@ impl std::fmt::Display for CaptureError {
 
 impl std::error::Error for CaptureError {}
 
+/// A frame's ADC words in one of the two layouts they arrive in.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Words<'a> {
+    /// Decoded words.
+    U32(&'a [u32]),
+    /// Little-endian wire bytes, four per word.
+    Le(&'a [u8]),
+}
+
+impl Words<'_> {
+    /// `Ok` when the frame holds exactly `expected` whole words.
+    pub(crate) fn check_len(&self, expected: usize) -> Result<(), CaptureError> {
+        let (got, whole) = match self {
+            Words::U32(w) => (w.len(), true),
+            Words::Le(b) => (b.len() / 4, b.len().is_multiple_of(4)),
+        };
+        if got == expected && whole {
+            Ok(())
+        } else {
+            Err(CaptureError::FrameShape { expected, got })
+        }
+    }
+}
+
+/// Saturating-adds one row of words into `cells`; returns the number of
+/// saturating adds and, when `sparse`, of non-zero words (a second pass,
+/// so the dense add stays free of it). The add is branch-free — adds, a
+/// logical shift and a mask, no 64-bit compare, which baseline SSE2
+/// lacks — so it vectorizes.
+#[inline(always)]
+fn fold_row(
+    cells: &mut [u64],
+    words: impl Iterator<Item = u32> + Clone,
+    ceil: u64,
+    sparse: bool,
+) -> (u64, u64) {
+    let mut saturated = 0u64;
+    for (cell, word) in cells.iter_mut().zip(words.clone()) {
+        // Cells hold at most 48 bits, so the sum stays below 2^63 and
+        // `ceil − sum` has its top bit set exactly when `sum > ceil`.
+        let sum = *cell + word as u64;
+        let over = ceil.wrapping_sub(sum) >> 63;
+        saturated += over;
+        *cell = sum - (sum.wrapping_sub(ceil) & over.wrapping_neg());
+    }
+    let nonzero = if sparse {
+        words.filter(|&w| w != 0).count() as u64
+    } else {
+        0
+    };
+    (saturated, nonzero)
+}
+
 /// Streaming accumulator over full IMS frames.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AccumulatorCore {
@@ -90,43 +143,15 @@ impl AccumulatorCore {
     /// Consumes one clock per word (II = 1) plus a fixed 4-cycle frame
     /// header overhead.
     pub fn capture_frame(&mut self, frame: &[u32]) -> Result<(), CaptureError> {
-        self.capture_frame_iter(frame.iter().copied())
+        self.capture(Words::U32(frame), false)
     }
 
-    /// Captures one frame from a word stream without requiring a contiguous
-    /// slice — the allocation-free path for consumers that decode ADC words
-    /// straight out of a wire packet (see `FramePacket::words`).
-    pub fn capture_frame_iter<I>(&mut self, words: I) -> Result<(), CaptureError>
-    where
-        I: ExactSizeIterator<Item = u32>,
-    {
-        let expected = self.drift_bins * self.mz_bins;
-        if words.len() != expected {
-            return Err(CaptureError::FrameShape {
-                expected,
-                got: words.len(),
-            });
-        }
-        let _sp = ims_obs::span_cat("accumulator", "frame");
-        let ceil = self.cell_max();
-        let saturated_before = self.saturation_events;
-        for (cell, word) in self.acc.iter_mut().zip(words) {
-            let sum = *cell + word as u64;
-            if sum > ceil {
-                *cell = ceil;
-                self.saturation_events += 1;
-            } else {
-                *cell = sum;
-            }
-        }
-        self.frames_captured += 1;
-        self.cycles += expected as u64 + 4;
-        // One metrics update per frame (not per cell) keeps the add loop
-        // clean for the auto-vectorizer.
-        ims_obs::static_counter!("accumulator.frames").incr();
-        ims_obs::static_counter!("accumulator.saturation_events")
-            .add(self.saturation_events - saturated_before);
-        Ok(())
+    /// Captures one frame straight from its little-endian wire bytes (a
+    /// `FramePacket` payload), with no decode pass or copy in between.
+    /// Bit- and cycle-identical to [`capture_frame`](Self::capture_frame)
+    /// on the decoded words.
+    pub fn capture_frame_bytes(&mut self, bytes: &[u8]) -> Result<(), CaptureError> {
+        self.capture(Words::Le(bytes), false)
     }
 
     /// Captures one frame skipping zero ADC words — the zero-suppressed
@@ -138,37 +163,58 @@ impl AccumulatorCore {
     /// point. Skipped words are tallied in the
     /// `accumulator.sparse_words_skipped` counter.
     pub fn capture_frame_sparse(&mut self, frame: &[u32]) -> Result<(), CaptureError> {
-        let expected = self.drift_bins * self.mz_bins;
-        if frame.len() != expected {
-            return Err(CaptureError::FrameShape {
-                expected,
-                got: frame.len(),
-            });
-        }
-        let _sp = ims_obs::span_cat("accumulator", "frame-sparse");
-        let ceil = self.cell_max();
-        let saturated_before = self.saturation_events;
-        let mut nonzero = 0u64;
-        for (cell, &word) in self.acc.iter_mut().zip(frame) {
-            if word == 0 {
-                continue;
-            }
-            nonzero += 1;
-            let sum = *cell + word as u64;
-            if sum > ceil {
-                *cell = ceil;
-                self.saturation_events += 1;
-            } else {
-                *cell = sum;
-            }
-        }
-        self.frames_captured += 1;
-        self.cycles += nonzero + 4;
-        ims_obs::static_counter!("accumulator.frames").incr();
-        ims_obs::static_counter!("accumulator.sparse_words_skipped").add(expected as u64 - nonzero);
-        ims_obs::static_counter!("accumulator.saturation_events")
-            .add(self.saturation_events - saturated_before);
+        self.capture(Words::U32(frame), true)
+    }
+
+    fn capture(&mut self, frame: Words<'_>, sparse: bool) -> Result<(), CaptureError> {
+        frame.check_len(self.drift_bins * self.mz_bins)?;
+        self.fold_columns(frame, self.mz_bins, 0, sparse);
         Ok(())
+    }
+
+    /// Folds this core's columns of a wider drift-major frame in place:
+    /// row `d` of the core takes words `d·stride + lo ..` of `frame`,
+    /// `mz_bins` of them. The caller has checked that `frame` holds
+    /// `drift_bins × stride` words and that `lo + mz_bins ≤ stride`.
+    /// `sparse` only changes the cycle model and counters: adding a zero
+    /// word is the identity and never saturates.
+    pub(crate) fn fold_columns(
+        &mut self,
+        frame: Words<'_>,
+        stride: usize,
+        lo: usize,
+        sparse: bool,
+    ) {
+        let _sp = ims_obs::span_cat("accumulator", if sparse { "frame-sparse" } else { "frame" });
+        let (width, ceil) = (self.mz_bins, self.cell_max());
+        let (mut saturated, mut nonzero) = (0u64, 0u64);
+        for (d, cells) in self.acc.chunks_exact_mut(width).enumerate() {
+            let at = d * stride + lo;
+            let (s, nz) = match frame {
+                Words::U32(w) => fold_row(cells, w[at..at + width].iter().copied(), ceil, sparse),
+                Words::Le(b) => fold_row(
+                    cells,
+                    b[4 * at..4 * (at + width)]
+                        .chunks_exact(4)
+                        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+                    ceil,
+                    sparse,
+                ),
+            };
+            saturated += s;
+            nonzero += nz;
+        }
+        let words = (self.drift_bins * width) as u64;
+        self.frames_captured += 1;
+        self.saturation_events += saturated;
+        self.cycles += if sparse { nonzero } else { words } + 4;
+        // One metrics update per frame (not per cell) keeps the add loop
+        // clean for the auto-vectorizer.
+        ims_obs::static_counter!("accumulator.frames").incr();
+        if sparse {
+            ims_obs::static_counter!("accumulator.sparse_words_skipped").add(words - nonzero);
+        }
+        ims_obs::static_counter!("accumulator.saturation_events").add(saturated);
     }
 
     /// Fraction of accumulation cells currently non-zero, in `[0, 1]` —

@@ -3,10 +3,12 @@
 //! Implements the fast m-sequence (Hadamard) inverse on the integer
 //! datapath: scatter through the LFSR-state address ROM, an in-place
 //! integer Walsh–Hadamard butterfly, gather through the mask address ROM,
-//! and a final fixed-point scale by `−2/(N+1)`. All arithmetic is exact
-//! integer until the single rounding in the output scaler, so results are
-//! bit-deterministic — the property that lets the hybrid pipeline verify
-//! the FPGA component against the software component exactly.
+//! and a final fixed-point scale by `−2/(N+1)`. An m-sequence has
+//! `N+1 = 2^degree`, so the scaler divides with a shift — no divider on
+//! the datapath. All arithmetic is exact integer until the single
+//! rounding in the output scaler, so results are bit-deterministic — the
+//! property that lets the hybrid pipeline verify the FPGA component
+//! against the software component exactly.
 
 use crate::bram::{BramBudget, MemoryRequirement};
 use ims_prs::{FastMTransform, MSequence};
@@ -60,6 +62,10 @@ impl DeconvCore {
         assert!(config.parallel_columns >= 1);
         assert!(config.butterflies_per_column >= 1);
         assert!((4..=30).contains(&config.output_frac_bits));
+        assert!(
+            (seq.len() + 1).is_power_of_two(),
+            "m-sequence length N must satisfy N+1 = 2^degree"
+        );
         Self {
             transform: FastMTransform::new(seq),
             config,
@@ -95,7 +101,10 @@ impl DeconvCore {
     /// 2. integer FWHT over `M = N+1` entries (adds/subs only, bit growth
     ///    `log2 M`);
     /// 3. gather `c[j] = buf[masks[j]]` (address ROM);
-    /// 4. scale: `x̂ = −2·c/(N+1)` evaluated as a rounded `i128` product.
+    /// 4. scale: `x̂ = −2·c/(N+1)` evaluated as a rounded `i128` quotient
+    ///    (ties away from zero). Since `N+1 = 2^degree` this is a shift —
+    ///    [`deconvolve_panel_into`](Self::deconvolve_panel_into) computes
+    ///    it that way; this column path keeps the division as its oracle.
     pub fn deconvolve_column(&self, y: &[u64]) -> Vec<i64> {
         let n = self.len();
         assert_eq!(y.len(), n, "column length mismatch");
@@ -196,29 +205,39 @@ impl DeconvCore {
             }
             h *= 2;
         }
-        // Gather + scale per row.
+        // Gather + scale per row. N+1 = 2^k: with f+1 ≥ k the quotient
+        // −c·2^(f+1−k) is exact and its wrapped i64 equals
+        // `c.wrapping_mul(−2^(f+1−k))`, written as shift and negate so it
+        // vectorizes; otherwise it is a round-half-away shift by k−(f+1).
         let f = self.config.output_frac_bits;
+        let k = m.trailing_zeros();
         let masks = self.transform.gather_addresses();
-        let scale_num = -(2i128 << f);
-        let denom = (n + 1) as i128;
-        let half = denom / 2;
         for j in 0..n {
             let lag = match self.config.convention {
                 Convention::Correlation => j,
                 Convention::Convolution => (n - j) % n,
             };
             let src = masks[lag] as usize;
-            for (o, &c) in out[j * width..(j + 1) * width]
+            let row = out[j * width..(j + 1) * width]
                 .iter_mut()
-                .zip(work[src * width..(src + 1) * width].iter())
-            {
-                let wide = scale_num * c as i128;
-                let rounded = if wide >= 0 {
-                    (wide + half) / denom
-                } else {
-                    (wide - half) / denom
-                };
-                *o = rounded as i64;
+                .zip(work[src * width..(src + 1) * width].iter());
+            if f + 1 >= k {
+                let up = f + 1 - k;
+                for (o, &c) in row {
+                    *o = (c << up).wrapping_neg();
+                }
+            } else {
+                let down = k - (f + 1);
+                let half = 1i128 << (down - 1);
+                for (o, &c) in row {
+                    let wide = -(c as i128);
+                    let rounded = if wide >= 0 {
+                        (wide + half) >> down
+                    } else {
+                        -((half - wide) >> down)
+                    };
+                    *o = rounded as i64;
+                }
             }
         }
     }
@@ -488,6 +507,80 @@ mod tests {
                             out[d * width + c],
                             expect[d],
                             "{convention:?} width {width} at ({d},{c})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shift_scale_matches_the_division_oracle() {
+        // Degrees 3 and 9 keep f+1 ≥ k for every f; degree 12 has
+        // f+1 < k (the rounding shift) for f ≤ 10 and f+1 ≥ k above.
+        for degree in [3u32, 9, 12] {
+            let seq = MSequence::new(degree);
+            let n = seq.len();
+            let probe = DeconvCore::new(&seq, DeconvConfig::default());
+            let states = probe.transform.scatter_addresses();
+            let masks = probe.transform.gather_addresses();
+            // A column whose FWHT output at RAM row `r` is N·q (every
+            // other output is −q): inputs carry row r's Hadamard signs.
+            // |y| summed stays below 2^63, so no FWHT stage overflows.
+            let peaked = |r: u64, q: i64| -> Vec<u64> {
+                let r = masks[(r as usize) % n] as u64;
+                states
+                    .iter()
+                    .map(|&a| {
+                        let sign = if (a as u64 & r).count_ones().is_multiple_of(2) {
+                            1
+                        } else {
+                            -1
+                        };
+                        (sign * q) as u64
+                    })
+                    .collect()
+            };
+            let near_2_62 = (1i64 << 62) / n as i64;
+            let near_max = i64::MAX / n as i64;
+            let mut columns = vec![
+                peaked(1, near_2_62),
+                peaked(2, -near_2_62),
+                peaked(3, near_max),
+                peaked(4, -near_max), // output ≈ i64::MIN
+                (0..n).map(|k| ((k * 7919 + 13) % 1021) as u64).collect(),
+                (0..n)
+                    .map(|k| (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20)
+                    .collect(),
+                vec![0; n],
+            ];
+            // Small signed values: every residue mod 2^k, both signs.
+            columns.push(
+                (0..n)
+                    .map(|k| ((k as i64 * 37 % 513) - 256) as u64)
+                    .collect(),
+            );
+            let width = columns.len();
+            let panel: Vec<u64> = (0..n)
+                .flat_map(|d| columns.iter().map(move |c| c[d]))
+                .collect();
+            for f in 4..=30 {
+                let core = DeconvCore::new(
+                    &seq,
+                    DeconvConfig {
+                        output_frac_bits: f,
+                        ..Default::default()
+                    },
+                );
+                let mut out = vec![0i64; n * width];
+                core.deconvolve_panel_into(&panel, width, &mut out, &mut Vec::new());
+                for (c, col) in columns.iter().enumerate() {
+                    let expect = core.deconvolve_column(col);
+                    for d in 0..n {
+                        assert_eq!(
+                            out[d * width + c],
+                            expect[d],
+                            "degree {degree} f {f} column {c} row {d}"
                         );
                     }
                 }

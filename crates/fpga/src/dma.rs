@@ -68,14 +68,35 @@ impl DmaLink {
 /// checked [`FramePacket`]s. Stable across platforms (byte-order free:
 /// payloads are already canonical little-endian wire bytes).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = FNV_OFFSET;
+    fnv1a64_from(FNV_OFFSET, bytes)
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv1a64_from(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
+}
+
+/// [`fnv1a64`] of four byte strings at once. FNV-1a is one serial
+/// xor-multiply chain per byte, so a single hash runs at the multiplier's
+/// latency; stepping four independent chains in lock-step over the
+/// strings' common length keeps the multiplier busy. Each lane equals
+/// `fnv1a64` of its own string.
+pub fn fnv1a64_x4(parts: [&[u8]; 4]) -> [u64; 4] {
+    let common = parts.iter().map(|p| p.len()).min().unwrap_or(0);
+    let [a, b, c, d] = parts.map(|p| &p[..common]);
+    let mut h = [FNV_OFFSET; 4];
+    for i in 0..common {
+        for (lane, byte) in h.iter_mut().zip([a[i], b[i], c[i], d[i]]) {
+            *lane = (*lane ^ byte as u64).wrapping_mul(FNV_PRIME);
+        }
+    }
+    std::array::from_fn(|l| fnv1a64_from(h[l], &parts[l][common..]))
 }
 
 /// One frame of raw instrument data in flight between pipeline stages.
@@ -116,7 +137,8 @@ impl FramePacket {
 
     fn pack(seq_no: u64, words: &[u32], checked: bool) -> Self {
         // One pass over exact-size arrays: the collect allocates once and
-        // copies without a per-word length check.
+        // copies without a per-word length check; `Bytes::from` then takes
+        // the allocation over without a second copy.
         let buf: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
         let checksum = checked.then(|| fnv1a64(&buf));
         Self {
@@ -294,6 +316,22 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn four_lane_fnv_equals_one_hash_per_lane() {
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 37 % 251) as u8).collect();
+        // Equal, unequal, empty and one-byte lengths, in every lane slot.
+        for lens in [
+            [300, 300, 300, 300],
+            [0, 1, 17, 300],
+            [300, 17, 1, 0],
+            [5, 0, 0, 5],
+            [0, 0, 0, 0],
+        ] {
+            let parts = lens.map(|n| &data[300 - n..]);
+            assert_eq!(fnv1a64_x4(parts), parts.map(fnv1a64), "lengths {lens:?}");
+        }
     }
 
     #[test]

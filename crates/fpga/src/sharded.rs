@@ -14,7 +14,7 @@
 //! capture — and the merge itself is order-independent (shards can be
 //! scattered back in any order).
 
-use crate::accumulator::{AccumulatorCore, CaptureError};
+use crate::accumulator::{AccumulatorCore, CaptureError, Words};
 
 /// An accumulator split into m/z-range shards (see the module docs).
 #[derive(Debug, Clone)]
@@ -27,10 +27,6 @@ pub struct ShardedAccumulator {
     /// Shards currently marked lost (killed and not yet revived); a lost
     /// shard captures nothing and drains zeros.
     lost: Vec<bool>,
-    /// Reused full-frame gather buffer for the multi-shard capture path.
-    frame_scratch: Vec<u32>,
-    /// Reused per-shard column-slice buffer.
-    shard_scratch: Vec<u32>,
 }
 
 impl ShardedAccumulator {
@@ -56,8 +52,6 @@ impl ShardedAccumulator {
             shards,
             bounds,
             lost: vec![false; n],
-            frame_scratch: Vec::new(),
-            shard_scratch: Vec::new(),
         }
     }
 
@@ -73,8 +67,6 @@ impl ShardedAccumulator {
             bounds: vec![0, mz],
             lost: vec![false],
             shards: vec![core],
-            frame_scratch: Vec::new(),
-            shard_scratch: Vec::new(),
         }
     }
 
@@ -113,78 +105,28 @@ impl ShardedAccumulator {
         self.lost.iter().filter(|&&l| l).count()
     }
 
-    /// Captures one full drift-major frame, splitting it across the
-    /// shards' column ranges. Lost shards are skipped (their columns are
-    /// simply not accumulated). With one shard this delegates straight to
-    /// [`AccumulatorCore::capture_frame_iter`] — the allocation-free fast
-    /// path, bit- and cycle-identical to the monolithic engine.
-    pub fn capture_frame_iter<I>(&mut self, words: I) -> Result<(), CaptureError>
-    where
-        I: ExactSizeIterator<Item = u32>,
-    {
-        let expected = self.drift_bins * self.mz_bins;
-        if words.len() != expected {
-            return Err(CaptureError::FrameShape {
-                expected,
-                got: words.len(),
-            });
-        }
-        if self.shards.len() == 1 {
-            if self.lost[0] {
-                return Ok(());
-            }
-            return self.shards[0].capture_frame_iter(words);
-        }
-        self.frame_scratch.clear();
-        self.frame_scratch.extend(words);
-        for s in 0..self.shards.len() {
-            if self.lost[s] {
-                continue;
-            }
-            self.gather_shard_columns(s);
-            let scratch = std::mem::take(&mut self.shard_scratch);
-            self.shards[s].capture_frame(&scratch)?;
-            self.shard_scratch = scratch;
-        }
-        Ok(())
+    /// Captures one full drift-major frame: each live shard folds its own
+    /// column range of the frame in place (see
+    /// [`AccumulatorCore::capture_frame`]). Lost shards are skipped (their
+    /// columns are simply not accumulated). With one shard this is the
+    /// monolithic engine, bit- and cycle-identical.
+    pub fn capture_frame(&mut self, frame: &[u32]) -> Result<(), CaptureError> {
+        self.capture(Words::U32(frame), false)
     }
 
-    /// Captures one frame from a slice (see
-    /// [`capture_frame_iter`](Self::capture_frame_iter)).
-    pub fn capture_frame(&mut self, frame: &[u32]) -> Result<(), CaptureError> {
-        self.capture_frame_iter(frame.iter().copied())
+    /// Captures one frame straight from its little-endian wire bytes (a
+    /// `FramePacket` payload) — [`capture_frame`](Self::capture_frame)
+    /// with no decode pass or copy in between.
+    pub fn capture_frame_bytes(&mut self, bytes: &[u8]) -> Result<(), CaptureError> {
+        self.capture(Words::Le(bytes), false)
     }
 
     /// Zero-suppressed capture: each shard takes the sparse path over its
-    /// column slice (see [`AccumulatorCore::capture_frame_sparse`]), so
+    /// column range (see [`AccumulatorCore::capture_frame_sparse`]), so
     /// per-shard cycle accounting counts non-zero words plus the frame
     /// header. Contents stay bit-identical to the dense path.
     pub fn capture_frame_sparse(&mut self, frame: &[u32]) -> Result<(), CaptureError> {
-        let expected = self.drift_bins * self.mz_bins;
-        if frame.len() != expected {
-            return Err(CaptureError::FrameShape {
-                expected,
-                got: frame.len(),
-            });
-        }
-        if self.shards.len() == 1 {
-            if self.lost[0] {
-                return Ok(());
-            }
-            return self.shards[0].capture_frame_sparse(frame);
-        }
-        self.frame_scratch.clear();
-        self.frame_scratch.extend_from_slice(frame);
-        for s in 0..self.shards.len() {
-            if self.lost[s] {
-                continue;
-            }
-            self.gather_shard_columns(s);
-            let scratch = std::mem::take(&mut self.shard_scratch);
-            self.shards[s].capture_frame_sparse(&scratch)?;
-            self.shard_scratch = scratch;
-        }
-        Ok(())
+        self.capture(Words::U32(frame), true)
     }
 
     /// Re-folds one full frame into shard `s` only — the recovery path
@@ -193,33 +135,20 @@ impl ShardedAccumulator {
     /// restores the shard's contents, frame count, and saturation events
     /// bit-identically (drain keeps cycles, so rebuild work only adds).
     pub fn rebuild_frame(&mut self, s: usize, frame: &[u32]) -> Result<(), CaptureError> {
-        let expected = self.drift_bins * self.mz_bins;
-        if frame.len() != expected {
-            return Err(CaptureError::FrameShape {
-                expected,
-                got: frame.len(),
-            });
-        }
-        self.frame_scratch.clear();
-        self.frame_scratch.extend_from_slice(frame);
-        self.gather_shard_columns(s);
-        let scratch = std::mem::take(&mut self.shard_scratch);
-        let out = self.shards[s].capture_frame(&scratch);
-        self.shard_scratch = scratch;
-        out
+        let frame = Words::U32(frame);
+        frame.check_len(self.drift_bins * self.mz_bins)?;
+        self.shards[s].fold_columns(frame, self.mz_bins, self.bounds[s], false);
+        Ok(())
     }
 
-    /// Copies shard `s`'s column slice of `frame_scratch` into
-    /// `shard_scratch` (drift-major, shard-width rows).
-    fn gather_shard_columns(&mut self, s: usize) {
-        let (lo, hi) = (self.bounds[s], self.bounds[s + 1]);
-        self.shard_scratch.clear();
-        self.shard_scratch.reserve(self.drift_bins * (hi - lo));
-        for d in 0..self.drift_bins {
-            self.shard_scratch.extend_from_slice(
-                &self.frame_scratch[d * self.mz_bins + lo..d * self.mz_bins + hi],
-            );
+    fn capture(&mut self, frame: Words<'_>, sparse: bool) -> Result<(), CaptureError> {
+        frame.check_len(self.drift_bins * self.mz_bins)?;
+        for (s, shard) in self.shards.iter_mut().enumerate() {
+            if !self.lost[s] {
+                shard.fold_columns(frame, self.mz_bins, self.bounds[s], sparse);
+            }
         }
+        Ok(())
     }
 
     /// Kills shard `s`: its partial accumulation is drained away (cycles
@@ -424,6 +353,34 @@ mod tests {
         assert_eq!(acc.shard_count(), 1);
         assert_eq!(acc.cycles(), cycles);
         assert_eq!(acc.drain_merged(), vec![1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn wire_bytes_fold_matches_word_fold() {
+        let (drift, mz) = (5, 13);
+        for n in [1, 3, 4] {
+            let mut words = ShardedAccumulator::new(drift, mz, 8, n);
+            let mut wire = ShardedAccumulator::new(drift, mz, 8, n);
+            for k in 0..6u32 {
+                // Large words so the 8-bit cells saturate.
+                let f: Vec<u32> = frame(drift, mz, k).iter().map(|w| w * 3).collect();
+                let bytes: Vec<u8> = f.iter().flat_map(|w| w.to_le_bytes()).collect();
+                words.capture_frame(&f).unwrap();
+                wire.capture_frame_bytes(&bytes).unwrap();
+            }
+            assert!(wire.saturation_events() > 0);
+            assert_eq!(wire.saturation_events(), words.saturation_events());
+            assert_eq!(wire.cycles(), words.cycles());
+            assert_eq!(wire.drain_merged(), words.drain_merged(), "{n} shards");
+        }
+        let mut acc = ShardedAccumulator::new(2, 2, 16, 2);
+        for len in [15, 17, 12] {
+            assert!(
+                acc.capture_frame_bytes(&vec![0u8; len]).is_err(),
+                "{len} bytes"
+            );
+        }
+        assert!(acc.drain_merged().iter().all(|&v| v == 0));
     }
 
     #[test]
