@@ -32,7 +32,7 @@ pub struct Feature {
 /// by decreasing intensity.
 pub fn find_features(map: &DriftTofMap, k_sigma: f64) -> Vec<Feature> {
     let data = map.data();
-    // Floor σ so sparse/noise-free maps still produce finite, ordered SNRs.
+    // Floor σ so near-empty/noise-free maps still produce finite, ordered SNRs.
     let sigma = stats::mad_sigma(data).max(1e-12);
     let base = stats::median(data);
     let threshold = base + k_sigma * sigma;

@@ -43,7 +43,7 @@ use ims_prs::FastMTransform;
 /// Bluestein-padded complex panel of a weighted solve: `2·N` rows × `P`
 /// columns × 16 bytes ≈ 512 KiB at `N = 511`) stays inside a typical L2
 /// cache while still giving the row sweeps full SIMD width. Re-exported
-/// from `ims_signal` so the FPGA block datapath shares the same constant;
+/// from `ims_signal`, which also holds the fixed-point datapaths' width;
 /// per-method tuning on top of this baseline lives in
 /// [`default_panel_width`].
 pub use ims_signal::DEFAULT_PANEL_WIDTH;
@@ -387,81 +387,6 @@ impl BatchDeconvolver {
         out
     }
 
-    /// Deconvolves a mostly-empty map by solving only its *occupied* m/z
-    /// columns and splatting a once-computed zero-column response into
-    /// the rest.
-    ///
-    /// Falls back to the dense serial path when the fraction of occupied
-    /// columns is at or above
-    /// [`ims_fpga::SPARSE_OCCUPANCY_THRESHOLD`] — above that the
-    /// column compaction costs more than the zeros it skips. A column
-    /// counts as empty only when every cell is bit-pattern `+0.0`
-    /// (`-0.0` or denormals make it occupied), every occupied column
-    /// runs the exact per-column kernel sequence of the dense engine,
-    /// and the zero response *is* the kernel's exact output for a zero
-    /// column — so the result is **bit-identical** to
-    /// [`BatchDeconvolver::deconvolve_map`] at every occupancy.
-    ///
-    /// # Panics
-    /// Panics if the map's drift-bin count differs from the kernel length.
-    pub fn deconvolve_map_sparse(&self, map: &DriftTofMap) -> DriftTofMap {
-        let drift = map.drift_bins();
-        let mz = map.mz_bins();
-        self.check_shape(drift);
-        if matches!(self.kernel, PanelKernel::Identity) {
-            return map.clone();
-        }
-        let data = map.data();
-        let occ = occupied_columns(map);
-        let cols: Vec<usize> = (0..mz).filter(|&c| occ[c]).collect();
-        if cols.len() as f64 >= ims_fpga::SPARSE_OCCUPANCY_THRESHOLD * mz as f64 {
-            return self.deconvolve_map(map);
-        }
-        ims_obs::static_counter!("deconv.sparse_blocks").incr();
-        ims_obs::static_counter!("deconv.sparse_columns_skipped").add((mz - cols.len()) as u64);
-        let mut scratch = PanelScratch::default();
-        // The response every empty column shares: one zero column through
-        // the ordinary kernel (width 1 — per-column bits are width-
-        // independent).
-        let mut zero_response = vec![0.0f64; drift];
-        self.solve_panel(
-            &mut zero_response,
-            1,
-            &mut scratch.transform,
-            &mut scratch.circulant,
-        );
-        let mut out = DriftTofMap::zeros(drift, mz);
-        let out_data = out.data_mut();
-        for (d, &r) in zero_response.iter().enumerate() {
-            out_data[d * mz..(d + 1) * mz].fill(r);
-        }
-        // Gather occupied columns into compact panels, solve, scatter
-        // each column back to its original position.
-        let mut panel: Vec<f64> = Vec::new();
-        let mut c0 = 0;
-        while c0 < cols.len() {
-            let width = self.panel_width.min(cols.len() - c0);
-            panel.clear();
-            panel.reserve(drift * width);
-            for d in 0..drift {
-                panel.extend(cols[c0..c0 + width].iter().map(|&c| data[d * mz + c]));
-            }
-            self.solve_panel(
-                &mut panel,
-                width,
-                &mut scratch.transform,
-                &mut scratch.circulant,
-            );
-            for d in 0..drift {
-                for (i, &c) in cols[c0..c0 + width].iter().enumerate() {
-                    out_data[d * mz + c] = panel[d * width + i];
-                }
-            }
-            c0 += width;
-        }
-        out
-    }
-
     /// Cost of one `drift × panel_width` panel in nanoseconds: the live
     /// mean of this method's `deconv.panel_ns.<method>` histogram once it
     /// has warmed up, else a static per-cell estimate measured on the
@@ -502,22 +427,6 @@ impl BatchDeconvolver {
             .max(MIN_PANELS_PER_TASK);
         by_cost.min(panels.div_ceil(executors)).max(1)
     }
-}
-
-/// Marks each m/z column of a map holding at least one cell whose bit
-/// pattern is not `+0.0` — the float engine's occupancy test (strict on
-/// purpose: `-0.0` can produce sign-different outputs through the kernel,
-/// so only exact `+0.0` columns may share the cached zero response).
-pub fn occupied_columns(map: &DriftTofMap) -> Vec<bool> {
-    let (drift, mz) = (map.drift_bins(), map.mz_bins());
-    let data = map.data();
-    let mut occ = vec![false; mz];
-    for d in 0..drift {
-        for (o, &v) in occ.iter_mut().zip(&data[d * mz..(d + 1) * mz]) {
-            *o |= v.to_bits() != 0;
-        }
-    }
-    occ
 }
 
 /// The machine's thread budget (`available_parallelism`, 1 if unknown).
@@ -638,48 +547,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sparse_map_is_bit_identical_to_dense() {
-        let (schedule, data) = small_block(40);
-        // Blank out all but a handful of columns (bitwise +0.0) so the
-        // sparse path actually engages.
-        let mut map = data.accumulated.clone();
-        let (drift, mz) = (map.drift_bins(), map.mz_bins());
-        let keep = [3usize, 4, 17, 38];
-        {
-            let d = map.data_mut();
-            for r in 0..drift {
-                for c in 0..mz {
-                    if !keep.contains(&c) {
-                        d[r * mz + c] = 0.0;
-                    }
-                }
-            }
-        }
-        for method in [
-            Deconvolver::SimplexFast,
-            Deconvolver::Weighted { lambda: 1e-5 },
-        ] {
-            let engine = BatchDeconvolver::new(&method, &schedule, &data);
-            let dense = engine.deconvolve_map(&map);
-            let sparse = engine.deconvolve_map_sparse(&map);
-            for (i, (a, b)) in dense.data().iter().zip(sparse.data().iter()).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{} cell {i}: {a} vs {b}",
-                    method.name()
-                );
-            }
-        }
-        // Above threshold the entry point falls back to the dense path.
-        let engine =
-            BatchDeconvolver::new(&Deconvolver::Weighted { lambda: 1e-5 }, &schedule, &data);
-        let dense = engine.deconvolve_map(&data.accumulated);
-        let sparse = engine.deconvolve_map_sparse(&data.accumulated);
-        assert_eq!(dense.data(), sparse.data());
     }
 
     #[test]

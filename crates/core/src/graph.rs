@@ -3,9 +3,9 @@
 //!
 //! A [`GraphSpec`] is the one, reproducible description of a run: graph
 //! shape (PRS degree, m/z bins, frames, blocks, channel depth, optional
-//! coarse binning, accumulator shards, sparse sidecar), backend/executor
-//! selection, thread count, and the RNG seed that drives both the
-//! acquisition and the frame stream. The CLI parses flags into one; tests
+//! coarse binning, accumulator shards), backend/executor selection,
+//! thread count, and the RNG seed that drives both the acquisition and
+//! the frame stream. The CLI parses flags into one; tests
 //! build them directly — two runs of an identical spec produce
 //! bit-identical blocks and identical deterministic metrics counts.
 //! [`GraphSpec::pipeline`] is the only place the stage graph is assembled;
@@ -62,11 +62,6 @@ pub struct GraphSpec {
     /// Watchdog stall timeout in milliseconds; `None` leaves the watchdog
     /// off (scheduled executor only).
     pub stall_timeout_ms: Option<u64>,
-    /// When set, the accumulate stage attaches a CSR sidecar to
-    /// low-occupancy blocks and FWHT-capable backends skip the empty
-    /// columns (bit-identical output; `report.sparse_blocks` counts how
-    /// many blocks took the sparse path).
-    pub sparse: bool,
     /// Declarative SLO targets (`p99=5ms,completeness=0.999`); the p99
     /// target arms per-frame end-to-end latency tracking on the run.
     /// Observability-only: not part of the config fingerprint.
@@ -111,7 +106,6 @@ impl GraphSpec {
             seed: 7,
             faults: None,
             stall_timeout_ms: None,
-            sparse: false,
             slo: None,
             flight_dir: None,
             profile_dir: None,
@@ -225,7 +219,7 @@ impl GraphSpec {
     ///
     /// The source emits `frames × blocks` frames, folded `frames` to a
     /// block (a trailing partial block is discarded). The frame shape comes
-    /// from `gen`; `depth`, `coarse`, `sparse` and `shards` shape the
+    /// from `gen`; `depth`, `coarse` and `shards` shape the
     /// graph. The link is the RapidArray model, and a hardware backend that
     /// fails a block falls back to the software engine under the default
     /// [`DeconvConfig`]. Panics when `seq` does not match `gen`'s drift
@@ -250,7 +244,6 @@ impl GraphSpec {
         let acc = AccumulatorCore::new(n, acc_mz, 32);
         p.stage(
             AccumulateStage::new(acc, self.frames.max(1), false)
-                .with_sparse(self.sparse)
                 .with_shards(self.shards.max(1))
                 .with_rebuild_binner(binner, n),
         )

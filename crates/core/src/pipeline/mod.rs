@@ -78,13 +78,6 @@ pub struct Block {
     pub frames: u64,
     /// Accumulated counts, drift-major.
     pub data: Vec<u64>,
-    /// CSR form of the same counts, attached by the accumulate stage when
-    /// the block's cell occupancy fell below the sparse threshold and the
-    /// sparse path is enabled. Deconvolution backends that understand it
-    /// skip the empty columns (bit-identical output); the dense copy
-    /// rides along for the backends — and fault-injection checksums —
-    /// that don't.
-    pub sparse: Option<ims_fpga::SparseBlock>,
 }
 
 /// A deconvolved drift × m/z block (raw fixed-point words).

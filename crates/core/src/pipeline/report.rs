@@ -124,10 +124,6 @@ pub struct PipelineReport {
     /// back as an empty string.
     #[serde(default)]
     pub simd: String,
-    /// Accumulated blocks that took the sparse (CSR, zero-column
-    /// skipping) deconvolution path. Dense runs report 0.
-    #[serde(default)]
-    pub sparse_blocks: u64,
     /// Tenant label when the run was admitted through the session
     /// multiplexer (`"s17"`); `None` for single-tenant runs. Stamped by
     /// `SessionHandle::join`, carried into session-labeled ledger lines.
@@ -183,7 +179,6 @@ impl PipelineReport {
             frames_quarantined: 0,
             deconv_fallbacks: 0,
             simd: ims_signal::simd::active_name().to_string(),
-            sparse_blocks: 0,
             session: None,
             frames_over_latency_slo: 0,
             shard_rebuilds: 0,
@@ -234,14 +229,12 @@ mod tests {
             items_per_second: 6.0,
             mcells_per_second: 1.5,
         });
-        r.sparse_blocks = 2;
         let json = serde_json::to_string(&r).unwrap();
         let back: PipelineReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.backend, "fpga-fwht");
         // Provenance survives the round trip: the SIMD backend stamped at
-        // construction and the sparse-block count.
+        // construction.
         assert_eq!(back.simd, ims_signal::simd::active_name());
-        assert_eq!(back.sparse_blocks, 2);
         assert_eq!(back.stages.len(), 1);
         let acc = back.stage("accumulate").unwrap();
         assert_eq!(acc.queue_high_water, Some(4));
@@ -286,7 +279,6 @@ mod tests {
         assert_eq!(r.frames_quarantined, 0);
         assert_eq!(r.deconv_fallbacks, 0);
         assert_eq!(r.simd, "");
-        assert_eq!(r.sparse_blocks, 0);
         assert_eq!(r.shard_rebuilds, 0);
         assert_eq!(r.shards_lost, 0);
         assert!(r.lost_mz_ranges.is_empty());

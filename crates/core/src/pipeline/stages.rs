@@ -276,10 +276,6 @@ pub struct AccumulateStage {
     flush_remainder: bool,
     corrupt_policy: CorruptPolicy,
     quarantined: u64,
-    /// When set, drained blocks below the occupancy threshold carry a
-    /// CSR [`ims_fpga::SparseBlock`] for zero-skipping deconvolution.
-    sparse_enabled: bool,
-    sparse_blocks: u64,
     /// Flight-recorder tap + latency-SLO wiring. The accumulator is the
     /// end-to-end measurement point: a frame "arrives" when it is folded
     /// into the accumulation RAM.
@@ -322,8 +318,6 @@ impl AccumulateStage {
             flush_remainder,
             corrupt_policy: CorruptPolicy::Drop,
             quarantined: 0,
-            sparse_enabled: false,
-            sparse_blocks: 0,
             obs: None,
             frames_slow: 0,
             injector: None,
@@ -335,16 +329,6 @@ impl AccumulateStage {
             shards_lost: 0,
             lost_ranges: Vec::new(),
         }
-    }
-
-    /// Enables the sparse drain path: blocks whose cell occupancy is
-    /// below [`ims_fpga::SPARSE_OCCUPANCY_THRESHOLD`] carry a CSR
-    /// sidecar so downstream deconvolution can skip empty columns.
-    /// Output stays bit-identical either way — the sparse path changes
-    /// work, never values.
-    pub fn with_sparse(mut self, enabled: bool) -> Self {
-        self.sparse_enabled = enabled;
-        self
     }
 
     /// Splits the accumulation RAM into `n` m/z-range shards (clamped to
@@ -452,7 +436,6 @@ impl AccumulateStage {
                 .add(block_saturation);
             }
         }
-        let (drift, mz) = (self.acc.drift_bins(), self.acc.mz_bins());
         let data = if self.acc.shard_count() > 1 {
             let t = std::time::Instant::now();
             let merged = self.acc.drain_merged();
@@ -462,27 +445,10 @@ impl AccumulateStage {
             self.acc.drain_merged()
         };
         self.folded.clear();
-        let sparse = if self.sparse_enabled {
-            ims_fpga::SparseBlock::from_dense_below(
-                &data,
-                drift,
-                mz,
-                ims_fpga::SPARSE_OCCUPANCY_THRESHOLD,
-            )
-        } else {
-            None
-        };
-        if sparse.is_some() {
-            self.sparse_blocks += 1;
-            ims_obs::static_counter!("accumulate.sparse_blocks").incr();
-        } else if self.sparse_enabled {
-            ims_obs::static_counter!("accumulate.dense_blocks").incr();
-        }
         let block = Block {
             index: self.next_index,
             frames: self.in_block,
             data,
-            sparse,
         };
         self.next_index += 1;
         self.in_block = 0;
@@ -546,7 +512,6 @@ impl Stage for AccumulateStage {
         report.saturation_events += self.saturation_events + self.acc.saturation_events();
         report.frames_per_block = self.frames_per_block;
         report.frames_quarantined += self.quarantined;
-        report.sparse_blocks += self.sparse_blocks;
         report.frames_over_latency_slo += self.frames_slow;
         report.shard_rebuilds += self.shard_rebuilds;
         report.shards_lost += self.shards_lost;
@@ -623,16 +588,6 @@ impl DeconvBackend {
         }
     }
 
-    /// The FWHT core of this backend, when it has one (the FPGA model or
-    /// the software engine — the naive MAC array does not speak sparse).
-    fn fwht_core_mut(&mut self) -> Option<&mut DeconvCore> {
-        match self {
-            DeconvBackend::Fpga(core) => Some(core),
-            DeconvBackend::Software { core, .. } => Some(core),
-            DeconvBackend::Naive(_) => None,
-        }
-    }
-
     /// Parses a backend name (`fpga` | `naive` | `software`).
     pub fn from_name(
         name: &str,
@@ -662,8 +617,6 @@ impl DeconvBackend {
 pub struct DeconvolveStage {
     backend: DeconvBackend,
     mz_bins: usize,
-    /// Column-panel width the software backend batches over.
-    panel_width: usize,
     /// Data cells (drift × m/z) deconvolved so far.
     cells: u64,
     /// Model cycles tallied for the software backend (whose panel kernel
@@ -692,7 +645,6 @@ impl DeconvolveStage {
         Self {
             backend,
             mz_bins,
-            panel_width: FIXED_POINT_PANEL_WIDTH,
             cells: 0,
             software_cycles: 0,
             injector: None,
@@ -703,14 +655,6 @@ impl DeconvolveStage {
             fallen_back: false,
             fallbacks: 0,
         }
-    }
-
-    /// Sets the column-panel width the software backend batches over
-    /// (clamped to at least 1). Panel width changes scheduling only, never
-    /// values, so any width yields bit-identical output.
-    pub fn with_panel_width(mut self, width: usize) -> Self {
-        self.panel_width = width.max(1);
-        self
     }
 
     /// Attaches a software panel engine as the degradation target for
@@ -782,14 +726,13 @@ impl Stage for DeconvolveStage {
                         .as_ref()
                         .expect("route_to_fallback requires a fallback core");
                     self.software_cycles += core.cycles_per_block(self.mz_bins);
-                    software_deconvolve_block(core, &b.data, self.mz_bins, 0, self.panel_width)
-                } else if let (Some(sparse), Some(core)) = (&b.sparse, self.backend.fwht_core_mut())
-                {
-                    // Zero-skipping path: solve only the occupied columns
-                    // (bit-identical to the dense path — each occupied
-                    // column runs the exact dense pipeline, and empty
-                    // columns share the cached zero-column response).
-                    core.deconvolve_block_sparse(sparse)
+                    software_deconvolve_block(
+                        core,
+                        &b.data,
+                        self.mz_bins,
+                        0,
+                        FIXED_POINT_PANEL_WIDTH,
+                    )
                 } else {
                     match &mut self.backend {
                         DeconvBackend::Fpga(core) => core.deconvolve_block(&b.data, self.mz_bins),
@@ -804,7 +747,7 @@ impl Stage for DeconvolveStage {
                                 &b.data,
                                 self.mz_bins,
                                 *threads,
-                                self.panel_width,
+                                FIXED_POINT_PANEL_WIDTH,
                             )
                         }
                     }
@@ -824,9 +767,9 @@ impl Stage for DeconvolveStage {
         report.deconv_cycles += match &self.backend {
             DeconvBackend::Fpga(core) => core.cycles(),
             DeconvBackend::Naive(core) => core.cycles(),
-            // Dense software blocks tally into `software_cycles`; sparse
-            // ones run on the core itself and tally there.
-            DeconvBackend::Software { core, .. } => self.software_cycles + core.cycles(),
+            // The software panel kernel counts no cycles itself; its
+            // modelled cycles were tallied into `software_cycles`.
+            DeconvBackend::Software { .. } => self.software_cycles,
         };
         // Fallback blocks ran on the software engine; their modelled
         // cycles were tallied into software_cycles above.

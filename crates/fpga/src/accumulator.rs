@@ -62,19 +62,12 @@ impl Words<'_> {
 }
 
 /// Saturating-adds one row of words into `cells`; returns the number of
-/// saturating adds and, when `sparse`, of non-zero words (a second pass,
-/// so the dense add stays free of it). The add is branch-free — adds, a
-/// logical shift and a mask, no 64-bit compare, which baseline SSE2
-/// lacks — so it vectorizes.
+/// saturating adds. The add is branch-free — adds, a logical shift and a
+/// mask, no 64-bit compare, which baseline SSE2 lacks — so it vectorizes.
 #[inline(always)]
-fn fold_row(
-    cells: &mut [u64],
-    words: impl Iterator<Item = u32> + Clone,
-    ceil: u64,
-    sparse: bool,
-) -> (u64, u64) {
+fn fold_row(cells: &mut [u64], words: impl Iterator<Item = u32>, ceil: u64) -> u64 {
     let mut saturated = 0u64;
-    for (cell, word) in cells.iter_mut().zip(words.clone()) {
+    for (cell, word) in cells.iter_mut().zip(words) {
         // Cells hold at most 48 bits, so the sum stays below 2^63 and
         // `ceil − sum` has its top bit set exactly when `sum > ceil`.
         let sum = *cell + word as u64;
@@ -82,12 +75,7 @@ fn fold_row(
         saturated += over;
         *cell = sum - (sum.wrapping_sub(ceil) & over.wrapping_neg());
     }
-    let nonzero = if sparse {
-        words.filter(|&w| w != 0).count() as u64
-    } else {
-        0
-    };
-    (saturated, nonzero)
+    saturated
 }
 
 /// Streaming accumulator over full IMS frames.
@@ -143,7 +131,7 @@ impl AccumulatorCore {
     /// Consumes one clock per word (II = 1) plus a fixed 4-cycle frame
     /// header overhead.
     pub fn capture_frame(&mut self, frame: &[u32]) -> Result<(), CaptureError> {
-        self.capture(Words::U32(frame), false)
+        self.capture(Words::U32(frame))
     }
 
     /// Captures one frame straight from its little-endian wire bytes (a
@@ -151,24 +139,12 @@ impl AccumulatorCore {
     /// Bit- and cycle-identical to [`capture_frame`](Self::capture_frame)
     /// on the decoded words.
     pub fn capture_frame_bytes(&mut self, bytes: &[u8]) -> Result<(), CaptureError> {
-        self.capture(Words::Le(bytes), false)
+        self.capture(Words::Le(bytes))
     }
 
-    /// Captures one frame skipping zero ADC words — the zero-suppressed
-    /// path for centroided spectra, where most cells carry no counts.
-    /// Adding zero is the identity, so the accumulation RAM ends up
-    /// bit-identical to [`AccumulatorCore::capture_frame`]; only the
-    /// cycle model changes (a zero-suppressing front end consumes one
-    /// clock per *non-zero* word plus the frame header), which is the
-    /// point. Skipped words are tallied in the
-    /// `accumulator.sparse_words_skipped` counter.
-    pub fn capture_frame_sparse(&mut self, frame: &[u32]) -> Result<(), CaptureError> {
-        self.capture(Words::U32(frame), true)
-    }
-
-    fn capture(&mut self, frame: Words<'_>, sparse: bool) -> Result<(), CaptureError> {
+    fn capture(&mut self, frame: Words<'_>) -> Result<(), CaptureError> {
         frame.check_len(self.drift_bins * self.mz_bins)?;
-        self.fold_columns(frame, self.mz_bins, 0, sparse);
+        self.fold_columns(frame, self.mz_bins, 0);
         Ok(())
     }
 
@@ -176,53 +152,30 @@ impl AccumulatorCore {
     /// row `d` of the core takes words `d·stride + lo ..` of `frame`,
     /// `mz_bins` of them. The caller has checked that `frame` holds
     /// `drift_bins × stride` words and that `lo + mz_bins ≤ stride`.
-    /// `sparse` only changes the cycle model and counters: adding a zero
-    /// word is the identity and never saturates.
-    pub(crate) fn fold_columns(
-        &mut self,
-        frame: Words<'_>,
-        stride: usize,
-        lo: usize,
-        sparse: bool,
-    ) {
-        let _sp = ims_obs::span_cat("accumulator", if sparse { "frame-sparse" } else { "frame" });
+    pub(crate) fn fold_columns(&mut self, frame: Words<'_>, stride: usize, lo: usize) {
+        let _sp = ims_obs::span_cat("accumulator", "frame");
         let (width, ceil) = (self.mz_bins, self.cell_max());
-        let (mut saturated, mut nonzero) = (0u64, 0u64);
+        let mut saturated = 0u64;
         for (d, cells) in self.acc.chunks_exact_mut(width).enumerate() {
             let at = d * stride + lo;
-            let (s, nz) = match frame {
-                Words::U32(w) => fold_row(cells, w[at..at + width].iter().copied(), ceil, sparse),
+            saturated += match frame {
+                Words::U32(w) => fold_row(cells, w[at..at + width].iter().copied(), ceil),
                 Words::Le(b) => fold_row(
                     cells,
                     b[4 * at..4 * (at + width)]
                         .chunks_exact(4)
                         .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])),
                     ceil,
-                    sparse,
                 ),
             };
-            saturated += s;
-            nonzero += nz;
         }
-        let words = (self.drift_bins * width) as u64;
         self.frames_captured += 1;
         self.saturation_events += saturated;
-        self.cycles += if sparse { nonzero } else { words } + 4;
+        self.cycles += (self.drift_bins * width) as u64 + 4;
         // One metrics update per frame (not per cell) keeps the add loop
         // clean for the auto-vectorizer.
         ims_obs::static_counter!("accumulator.frames").incr();
-        if sparse {
-            ims_obs::static_counter!("accumulator.sparse_words_skipped").add(words - nonzero);
-        }
         ims_obs::static_counter!("accumulator.saturation_events").add(saturated);
-    }
-
-    /// Fraction of accumulation cells currently non-zero, in `[0, 1]` —
-    /// the quantity the accumulate stage compares against
-    /// [`crate::sparse::SPARSE_OCCUPANCY_THRESHOLD`] at drain time.
-    pub fn occupancy(&self) -> f64 {
-        let nnz = self.acc.iter().filter(|&&v| v != 0).count();
-        nnz as f64 / self.acc.len() as f64
     }
 
     /// Frames accumulated since the last reset.

@@ -248,9 +248,9 @@ impl DeconvCore {
     /// modelled cycle count is unchanged (the FPGA's parallelism model is
     /// `parallel_columns`, not the software panel width).
     pub fn deconvolve_block(&mut self, data: &[u64], mz_bins: usize) -> Vec<i64> {
-        // Shared with the software engine so a re-tuned width propagates
-        // to both datapaths.
-        const PANEL_WIDTH: usize = ims_signal::DEFAULT_PANEL_WIDTH;
+        // Shared with the pipeline's software engine so a re-tuned width
+        // propagates to both fixed-point datapaths.
+        const PANEL_WIDTH: usize = ims_signal::FIXED_POINT_PANEL_WIDTH;
         let n = self.len();
         assert_eq!(data.len(), n * mz_bins, "block shape mismatch");
         let mut out = vec![0i64; n * mz_bins];
@@ -274,63 +274,6 @@ impl DeconvCore {
             c0 += width;
         }
         self.cycles += self.cycles_per_block(mz_bins);
-        out
-    }
-
-    /// Deconvolves a sparse block by solving only its occupied m/z
-    /// columns and splatting a once-computed zero-column response into
-    /// the empty ones.
-    ///
-    /// Every occupied column is expanded to its exact dense contents and
-    /// run through the ordinary panel pipeline, and an empty column's
-    /// response is itself the exact deconvolution of a zero column, so
-    /// the output is **bit-identical** to
-    /// `deconvolve_block(&block.to_dense(), ..)` — the cores differ only
-    /// in work done. The cycle model prices occupied columns plus one
-    /// zero-response column: a zero-suppressing column dispatcher never
-    /// feeds empty columns to the engines, which is where the sparse
-    /// speedup comes from. Skipped columns are tallied in the
-    /// `deconv.sparse_columns_skipped` counter.
-    pub fn deconvolve_block_sparse(&mut self, block: &crate::sparse::SparseBlock) -> Vec<i64> {
-        const PANEL_WIDTH: usize = ims_signal::DEFAULT_PANEL_WIDTH;
-        let n = self.len();
-        assert_eq!(block.drift_bins(), n, "block drift bins mismatch");
-        let mz_bins = block.mz_bins();
-        let (compact, cols) = block.compact_occupied();
-        let k = cols.len();
-        // The response every empty column shares: deconvolve one zero
-        // column through the ordinary datapath.
-        let zero_response = self.deconvolve_column(&vec![0u64; n]);
-        let mut out = vec![0i64; n * mz_bins];
-        for d in 0..n {
-            out[d * mz_bins..(d + 1) * mz_bins].fill(zero_response[d]);
-        }
-        // Solve the compact occupied-column block panel-wise and scatter
-        // each result column to its original m/z position.
-        let mut panel: Vec<u64> = Vec::new();
-        let mut solved: Vec<i64> = Vec::new();
-        let mut work: Vec<i64> = Vec::new();
-        let mut c0 = 0;
-        while c0 < k {
-            let width = PANEL_WIDTH.min(k - c0);
-            panel.clear();
-            panel.reserve(n * width);
-            for d in 0..n {
-                panel.extend_from_slice(&compact[d * k + c0..d * k + c0 + width]);
-            }
-            solved.resize(n * width, 0);
-            self.deconvolve_panel_into(&panel, width, &mut solved, &mut work);
-            for d in 0..n {
-                for (i, &c) in cols[c0..c0 + width].iter().enumerate() {
-                    out[d * mz_bins + c as usize] = solved[d * width + i];
-                }
-            }
-            c0 += width;
-        }
-        let groups = (k + 1).div_ceil(self.config.parallel_columns) as u64;
-        self.cycles += groups * self.cycles_per_column();
-        ims_obs::static_counter!("deconv.sparse_blocks").incr();
-        ims_obs::static_counter!("deconv.sparse_columns_skipped").add((mz_bins - k) as u64);
         out
     }
 
@@ -465,21 +408,23 @@ mod tests {
     fn block_processing_matches_columnwise() {
         let seq = MSequence::new(5);
         let n = seq.len();
-        let mz_bins = 7;
-        let mut core = DeconvCore::new(&seq, DeconvConfig::default());
-        let mut data = vec![0u64; n * mz_bins];
-        for (i, v) in data.iter_mut().enumerate() {
-            *v = ((i * 31) % 250) as u64;
-        }
-        let block = core.deconvolve_block(&data, mz_bins);
-        for mz in 0..mz_bins {
-            let col: Vec<u64> = (0..n).map(|d| data[d * mz_bins + mz]).collect();
-            let expect = core.deconvolve_column(&col);
-            for d in 0..n {
-                assert_eq!(block[d * mz_bins + mz], expect[d]);
+        // One partial panel, and two full panels plus a partial one.
+        for mz_bins in [7, 300] {
+            let mut core = DeconvCore::new(&seq, DeconvConfig::default());
+            let mut data = vec![0u64; n * mz_bins];
+            for (i, v) in data.iter_mut().enumerate() {
+                *v = ((i * 31) % 250) as u64;
             }
+            let block = core.deconvolve_block(&data, mz_bins);
+            for mz in 0..mz_bins {
+                let col: Vec<u64> = (0..n).map(|d| data[d * mz_bins + mz]).collect();
+                let expect = core.deconvolve_column(&col);
+                for d in 0..n {
+                    assert_eq!(block[d * mz_bins + mz], expect[d]);
+                }
+            }
+            assert!(core.cycles() > 0);
         }
-        assert!(core.cycles() > 0);
     }
 
     #[test]
@@ -586,28 +531,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sparse_block_matches_dense_bitwise() {
-        let seq = MSequence::new(6);
-        let n = seq.len();
-        let mz_bins = 50;
-        // ~6% occupied: a few hot columns, one isolated cell.
-        let mut data = vec![0u64; n * mz_bins];
-        for d in 0..n {
-            data[d * mz_bins + 7] = ((d * 13 + 5) % 97) as u64;
-            data[d * mz_bins + 31] = ((d * 7 + 11) % 211) as u64;
-        }
-        data[20 * mz_bins + 44] = 3;
-        let sparse = crate::sparse::SparseBlock::from_dense(&data, n, mz_bins);
-        let mut dense_core = DeconvCore::new(&seq, DeconvConfig::default());
-        let mut sparse_core = DeconvCore::new(&seq, DeconvConfig::default());
-        let dense = dense_core.deconvolve_block(&data, mz_bins);
-        let got = sparse_core.deconvolve_block_sparse(&sparse);
-        assert_eq!(dense, got);
-        // The sparse core priced far fewer column groups.
-        assert!(sparse_core.cycles() < dense_core.cycles() / 4);
     }
 
     #[test]

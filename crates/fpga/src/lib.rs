@@ -62,7 +62,6 @@ pub mod dma;
 pub mod fixed;
 pub mod report;
 pub mod sharded;
-pub mod sparse;
 
 pub use accumulator::AccumulatorCore;
 pub use binner::MzBinner;
@@ -72,4 +71,3 @@ pub use dma::DmaLink;
 pub use fixed::Fx;
 pub use report::{FpgaDevice, ResourceReport};
 pub use sharded::{merge_shard_parts, ShardedAccumulator};
-pub use sparse::{SparseBlock, SPARSE_OCCUPANCY_THRESHOLD};

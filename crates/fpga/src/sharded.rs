@@ -10,9 +10,8 @@
 //! Correctness contract, pinned by proptests: because the column ranges
 //! are disjoint and saturating adds are per-cell, the merged drain is
 //! **bit-identical** to a monolithic [`AccumulatorCore`] fed the same
-//! frames in the same order — for any shard count, dense or sparse
-//! capture — and the merge itself is order-independent (shards can be
-//! scattered back in any order).
+//! frames in the same order — for any shard count — and the merge itself
+//! is order-independent (shards can be scattered back in any order).
 
 use crate::accumulator::{AccumulatorCore, CaptureError, Words};
 
@@ -111,22 +110,14 @@ impl ShardedAccumulator {
     /// columns are simply not accumulated). With one shard this is the
     /// monolithic engine, bit- and cycle-identical.
     pub fn capture_frame(&mut self, frame: &[u32]) -> Result<(), CaptureError> {
-        self.capture(Words::U32(frame), false)
+        self.capture(Words::U32(frame))
     }
 
     /// Captures one frame straight from its little-endian wire bytes (a
     /// `FramePacket` payload) — [`capture_frame`](Self::capture_frame)
     /// with no decode pass or copy in between.
     pub fn capture_frame_bytes(&mut self, bytes: &[u8]) -> Result<(), CaptureError> {
-        self.capture(Words::Le(bytes), false)
-    }
-
-    /// Zero-suppressed capture: each shard takes the sparse path over its
-    /// column range (see [`AccumulatorCore::capture_frame_sparse`]), so
-    /// per-shard cycle accounting counts non-zero words plus the frame
-    /// header. Contents stay bit-identical to the dense path.
-    pub fn capture_frame_sparse(&mut self, frame: &[u32]) -> Result<(), CaptureError> {
-        self.capture(Words::U32(frame), true)
+        self.capture(Words::Le(bytes))
     }
 
     /// Re-folds one full frame into shard `s` only — the recovery path
@@ -137,15 +128,15 @@ impl ShardedAccumulator {
     pub fn rebuild_frame(&mut self, s: usize, frame: &[u32]) -> Result<(), CaptureError> {
         let frame = Words::U32(frame);
         frame.check_len(self.drift_bins * self.mz_bins)?;
-        self.shards[s].fold_columns(frame, self.mz_bins, self.bounds[s], false);
+        self.shards[s].fold_columns(frame, self.mz_bins, self.bounds[s]);
         Ok(())
     }
 
-    fn capture(&mut self, frame: Words<'_>, sparse: bool) -> Result<(), CaptureError> {
+    fn capture(&mut self, frame: Words<'_>) -> Result<(), CaptureError> {
         frame.check_len(self.drift_bins * self.mz_bins)?;
         for (s, shard) in self.shards.iter_mut().enumerate() {
             if !self.lost[s] {
-                shard.fold_columns(frame, self.mz_bins, self.bounds[s], sparse);
+                shard.fold_columns(frame, self.mz_bins, self.bounds[s]);
             }
         }
         Ok(())
@@ -338,8 +329,6 @@ mod tests {
         let f = frame(drift, mz, 3);
         mono.capture_frame(&f).unwrap();
         one.capture_frame(&f).unwrap();
-        mono.capture_frame_sparse(&f).unwrap();
-        one.capture_frame_sparse(&f).unwrap();
         assert_eq!(one.cycles(), mono.cycles());
         assert_eq!(one.drain_merged(), mono.drain());
     }

@@ -16,10 +16,13 @@ use std::path::Path;
 
 /// Schema version of [`LedgerRecord`]. Bump when fields change meaning.
 ///
-/// v2 added [`LedgerRecord::simd`] and [`LedgerRecord::sparse`]; v3 added
+/// v2 added [`LedgerRecord::simd`] and a `sparse` path label; v3 added
 /// [`LedgerRecord::slo`] and [`LedgerRecord::flight_dump`]. All of them
 /// default to empty when absent, so v1/v2 lines still parse.
-pub const LEDGER_SCHEMA_VERSION: u64 = 3;
+///
+/// v4 dropped `sparse` with the sparse deconvolution path it described;
+/// v2/v3 lines that still carry the key parse, and the key is ignored.
+pub const LEDGER_SCHEMA_VERSION: u64 = 4;
 
 /// The configuration axes that make two runs comparable. Anything not in
 /// here (wall time, host load, git revision) is an *outcome*, not a key.
@@ -118,10 +121,6 @@ pub struct LedgerRecord {
     /// line) on v1 lines and when the caller didn't stamp it.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub simd: Option<String>,
-    /// Sparse/dense path decision for this run (`"sparse"` | `"dense"`,
-    /// or a mixed label). `None` (and omitted) on v1 lines.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub sparse: Option<String>,
     /// SLO evaluation at the end of the run (spec + burn rates + alert
     /// state). `None` (and omitted) when no `--slo` was declared and on
     /// pre-v3 lines.
@@ -154,7 +153,6 @@ impl LedgerRecord {
             outcome: None,
             session: None,
             simd: (!provenance.simd.is_empty()).then(|| provenance.simd.clone()),
-            sparse: (!provenance.sparse.is_empty()).then(|| provenance.sparse.clone()),
             slo: None,
             flight_dump: None,
         }
@@ -389,32 +387,36 @@ mod tests {
     }
 
     #[test]
-    fn simd_and_sparse_round_trip_and_legacy_v1_lines_parse() {
-        let prov = Provenance::collect(2, 32)
-            .with_simd("avx2")
-            .with_sparse("sparse");
+    fn simd_round_trips_and_legacy_v1_and_v3_lines_parse() {
+        let prov = Provenance::collect(2, 32).with_simd("avx2");
         let rec = LedgerRecord::new("bench", &prov, "f".into());
         let line = serde_json::to_string(&rec).unwrap();
         assert!(line.contains("\"simd\":\"avx2\""), "{line}");
-        assert!(line.contains("\"sparse\":\"sparse\""), "{line}");
         let back: LedgerRecord = serde_json::from_str(&line).unwrap();
         assert_eq!(back.simd.as_deref(), Some("avx2"));
-        assert_eq!(back.sparse.as_deref(), Some("sparse"));
 
-        // Unstamped provenance → fields omitted from the line entirely.
+        // Unstamped provenance → field omitted from the line entirely.
         let plain = LedgerRecord::new("bench", &Provenance::collect(2, 32), "f".into());
         let line = serde_json::to_string(&plain).unwrap();
         assert!(!line.contains("simd"), "{line}");
-        assert!(!line.contains("sparse"), "{line}");
 
-        // A v1 line (no simd/sparse keys) still parses with empty fields.
+        // A v1 line (no simd key) still parses with the field empty.
         let legacy = r#"{"schema_version":1,"unix_ms":0,"tool":"bench",
             "git_describe":"x","threads":1,"panel_width":32,"fingerprint":"f",
             "wall_seconds":0.0,"frames":0,"blocks":0,"stage_latency":[],
             "mcells_per_second":0.0}"#;
         let back: LedgerRecord = serde_json::from_str(legacy).unwrap();
         assert_eq!(back.simd, None);
-        assert_eq!(back.sparse, None);
+
+        // A v3 line still carrying the retired `sparse` label parses, with
+        // the key ignored and the rest of the line intact.
+        let legacy = r#"{"schema_version":3,"unix_ms":0,"tool":"bench",
+            "git_describe":"x","threads":1,"panel_width":32,"fingerprint":"f",
+            "wall_seconds":0.0,"frames":0,"blocks":0,"stage_latency":[],
+            "mcells_per_second":0.0,"simd":"avx2","sparse":"sparse+dense"}"#;
+        let back: LedgerRecord = serde_json::from_str(legacy).unwrap();
+        assert_eq!(back.schema_version, 3);
+        assert_eq!(back.simd.as_deref(), Some("avx2"));
     }
 
     #[test]

@@ -23,13 +23,17 @@ use serde_json::{json, Value};
 /// Schema version of [`ObsReport`] and the `htims bench`/`htims trace`
 /// JSON outputs. Bump when fields change meaning.
 ///
-/// v3 added [`Provenance::simd`] and [`Provenance::sparse`]; both default
+/// v3 added [`Provenance::simd`] and a `sparse` path label; both default
 /// to empty on v2 (and older) artifacts, which still parse.
 ///
 /// v4 added [`ObsReport::slo`] (per-tenant burn-rate state, see
 /// [`crate::slo`]); it defaults to `None` on v3 (and older) artifacts,
 /// which still parse.
-pub const OBS_SCHEMA_VERSION: u64 = 4;
+///
+/// v5 dropped `Provenance::sparse` with the sparse deconvolution path it
+/// described; v3/v4 artifacts that still carry the key parse, and the
+/// key is ignored.
+pub const OBS_SCHEMA_VERSION: u64 = 5;
 
 /// Where a report came from: enough to compare BENCH_*.json and trace
 /// artifacts across PRs.
@@ -51,18 +55,12 @@ pub struct Provenance {
     /// (Provenance::with_simd).
     #[serde(default)]
     pub simd: String,
-    /// Sparse/dense path decision for the run (`"sparse"` | `"dense"`, or
-    /// a mixed label such as `"sparse:3/8"` when blocks split). Empty on
-    /// pre-v3 artifacts and when not stamped.
-    #[serde(default)]
-    pub sparse: String,
 }
 
 impl Provenance {
     /// Provenance for a run using `threads` workers and `panel_width`-wide
-    /// deconvolution panels. SIMD backend and sparse decision start empty;
-    /// stamp them with [`with_simd`](Self::with_simd) /
-    /// [`with_sparse`](Self::with_sparse).
+    /// deconvolution panels. The SIMD backend starts empty; stamp it with
+    /// [`with_simd`](Self::with_simd).
     pub fn collect(threads: usize, panel_width: usize) -> Self {
         Self {
             schema_version: OBS_SCHEMA_VERSION,
@@ -70,19 +68,12 @@ impl Provenance {
             threads: threads as u64,
             panel_width: panel_width as u64,
             simd: String::new(),
-            sparse: String::new(),
         }
     }
 
     /// Stamps the dispatched SIMD backend name.
     pub fn with_simd(mut self, simd: &str) -> Self {
         self.simd = simd.to_string();
-        self
-    }
-
-    /// Stamps the sparse/dense path decision.
-    pub fn with_sparse(mut self, sparse: &str) -> Self {
-        self.sparse = sparse.to_string();
         self
     }
 }
@@ -285,20 +276,19 @@ mod tests {
     #[test]
     fn obs_report_serde_round_trip() {
         let mut report = sample_report();
-        report.provenance = report.provenance.with_simd("avx2").with_sparse("dense");
+        report.provenance = report.provenance.with_simd("avx2");
         let text = serde_json::to_string_pretty(&report).unwrap();
         let back: ObsReport = serde_json::from_str(&text).unwrap();
         assert_eq!(back, report);
         assert_eq!(back.provenance.schema_version, OBS_SCHEMA_VERSION);
         assert_eq!(back.provenance.panel_width, 32);
         assert_eq!(back.provenance.simd, "avx2");
-        assert_eq!(back.provenance.sparse, "dense");
     }
 
     #[test]
     fn legacy_v2_provenance_parses_with_empty_simd_and_sparse() {
         // A pre-v3 provenance object has no simd/sparse keys; it must
-        // still deserialize, with both defaulting to empty.
+        // still deserialize, with simd defaulting to empty.
         let legacy = r#"{
             "schema_version": 2,
             "git_describe": "abc1234",
@@ -308,7 +298,19 @@ mod tests {
         let back: Provenance = serde_json::from_str(legacy).unwrap();
         assert_eq!(back.schema_version, 2);
         assert_eq!(back.simd, "");
-        assert_eq!(back.sparse, "");
+        // A v3/v4 provenance still carries the retired `sparse` label; it
+        // must parse, with the key ignored.
+        let v4 = r#"{
+            "schema_version": 4,
+            "git_describe": "abc1234",
+            "threads": 1,
+            "panel_width": 32,
+            "simd": "avx2",
+            "sparse": "sparse+dense"
+        }"#;
+        let back: Provenance = serde_json::from_str(v4).unwrap();
+        assert_eq!(back.schema_version, 4);
+        assert_eq!(back.simd, "avx2");
     }
 
     #[test]

@@ -51,7 +51,7 @@ fn help() {
          [--depth <channel depth>] [--backend fpga|naive|software] [--threads <n>]\n    \
          [--coarse <bins>] [--executor scheduled|inline] [--seed <n>]\n    \
          [--out <file.json>] [--faults <dma.bitflip=1e-5,frame.drop=1e-4,...>]\n    \
-         [--stall-timeout <250ms>] [--sparse] [--slo <p99=5ms,completeness=0.999>]\n    \
+         [--stall-timeout <250ms>] [--slo <p99=5ms,completeness=0.999>]\n    \
          [--flight-dir <dir>] [--profile <dir>]\n  \
          htims trace [pipeline flags] [--out <trace.json>] [--metrics <metrics.json>]\n  \
          htims serve [pipeline flags] [--duration <2s|500ms>] [--port <n>]\n    \
@@ -60,7 +60,7 @@ fn help() {
          htims chaos [pipeline flags] [--seeds <a,b,...>] [--matrix <spec;spec;...>]\n    \
          [--out <survival.json>] [--strict]\n  \
          htims bench deconv [--quick] [--json] [--out <file.json>]\n    \
-         [--threads <a,b,...>] [--sparse]\n  \
+         [--threads <a,b,...>]\n  \
          htims bench compare <baseline.json> <candidate.json> [--max-regress-pct <n>]\n    \
          [--out <verdict.json>]\n\n\
          pipeline|trace|serve|bench append a run summary to RUNS.jsonl\n\
@@ -287,9 +287,6 @@ fn parse_graph(mut spec: GraphSpec, args: &[String]) -> GraphSpec {
         });
         spec.stall_timeout_ms = Some(d.as_millis() as u64);
     }
-    if args.iter().any(|a| a == "--sparse") {
-        spec.sparse = true;
-    }
     if let Some(v) = flag(args, "--slo") {
         spec.slo = (!v.is_empty()).then_some(v);
     }
@@ -347,12 +344,7 @@ fn graph_ledger_record(
         spec.resolved_threads(),
         htims::core::deconv_batch::DEFAULT_PANEL_WIDTH,
     )
-    .with_simd(&report.simd)
-    .with_sparse(if report.sparse_blocks > 0 {
-        "sparse"
-    } else {
-        "dense"
-    });
+    .with_simd(&report.simd);
     let mut rec = ims_obs::LedgerRecord::new(tool, &provenance, spec.fingerprint());
     rec.wall_seconds = report.wall_seconds;
     rec.frames = report.frames;
@@ -526,8 +518,7 @@ fn trace(args: &[String]) {
             spec.resolved_threads(),
             htims::core::deconv_batch::DEFAULT_PANEL_WIDTH,
         )
-        .with_simd(htims::signal::simd::active_name())
-        .with_sparse(if spec.sparse { "sparse" } else { "dense" }),
+        .with_simd(htims::signal::simd::active_name()),
     );
     maybe_reset_profile(&spec);
     let out = run_graph(&spec);
@@ -633,8 +624,7 @@ fn serve(args: &[String]) {
         spec.resolved_threads(),
         htims::core::deconv_batch::DEFAULT_PANEL_WIDTH,
     )
-    .with_simd(htims::signal::simd::active_name())
-    .with_sparse(if spec.sparse { "sparse" } else { "dense" });
+    .with_simd(htims::signal::simd::active_name());
     // Parsed once up front so a bad `--slo` dies before the listener is
     // up; per-session engines accumulate sliding windows across runs.
     let slo_spec = spec.slo_spec().unwrap_or_else(|e| {
@@ -1215,13 +1205,10 @@ fn parse_duration(text: &str) -> Option<std::time::Duration> {
 /// * `batched` — [`BatchDeconvolver`] panels on one thread, by panel width;
 /// * `batched-parallel` — panel slabs distributed over the work-stealing
 ///   scheduler, by threads (`--threads 1,2,4` overrides the sweep);
-/// * `sparse-scalar` / `sparse-batched` / `sparse-skip` (with `--sparse`)
-///   — the same engines plus the CSR skip-zero path on a background-free
-///   block.
 ///
 /// All engines produce bit-identical output; only the schedule of the
 /// arithmetic differs. `speedup_vs_scalar` is relative to the same method's
-/// scalar-column row (sparse rows: the sparse block's own scalar row).
+/// scalar-column row.
 fn bench(args: &[String]) {
     match args.get(1).map(String::as_str) {
         Some("deconv") => bench_deconv(args),
@@ -1417,121 +1404,20 @@ fn bench_deconv(args: &[String]) {
         );
     }
 
-    // Sparse rows (`--sparse`): a background-free acquisition of the same
-    // shape, so only the peptide peaks occupy cells. Each engine is timed
-    // against a scalar-column reference *on the sparse block*; the
-    // `sparse-skip` rows run the CSR skip-zero path (bit-identical to
-    // dense, priced per occupied column).
-    let sparse_enabled = args.iter().any(|a| a == "--sparse");
-    let mut sparse_occupancy = serde_json::Value::Null;
-    if sparse_enabled {
-        let mut rng = ChaCha8Rng::seed_from_u64(31);
-        eprintln!("acquiring sparse bench block (background 0)…");
-        let sparse_data = acquire(
-            &inst,
-            &workload,
-            &schedule,
-            frames,
-            AcquireOptions {
-                background_mean: 0.0,
-                ..AcquireOptions::default()
-            },
-            &mut rng,
-        );
-        let occupied = sparse_data
-            .accumulated
-            .data()
-            .iter()
-            .filter(|v| v.to_bits() != 0)
-            .count();
-        let occupancy = occupied as f64 / cells;
-        sparse_occupancy = serde_json::json!(occupancy);
-        eprintln!(
-            "sparse block occupancy: {occupied}/{} cells ({:.2}%)",
-            cells as usize,
-            occupancy * 100.0
-        );
-
-        for method in [
-            Deconvolver::Weighted { lambda: 1e-6 },
-            Deconvolver::SimplexFast,
-        ] {
-            let name = match &method {
-                Deconvolver::Weighted { .. } => "weighted",
-                _ => "simplex-fast",
-            };
-            let solver = method.column_solver(&schedule, &sparse_data);
-            let scalar_secs = best_secs(repeats, || {
-                std::hint::black_box(apply_columnwise(&sparse_data.accumulated, |col| {
-                    solver(col)
-                }));
-            });
-            record(name, "sparse-scalar", 1, 1, scalar_secs, scalar_secs);
-            let engine = BatchDeconvolver::new(&method, &schedule, &sparse_data);
-            let width = engine.panel_width();
-            let secs = best_secs(repeats, || {
-                std::hint::black_box(engine.deconvolve_map(&sparse_data.accumulated));
-            });
-            record(name, "sparse-batched", 1, width, secs, scalar_secs);
-            let secs = best_secs(repeats, || {
-                std::hint::black_box(engine.deconvolve_map_sparse(&sparse_data.accumulated));
-            });
-            record(name, "sparse-skip", 1, width, secs, scalar_secs);
-        }
-
-        // Integer path: CSR-of-runs block through the FWHT core's
-        // skip-zero entry point.
-        let sparse_block: Vec<u64> = sparse_data
-            .accumulated
-            .data()
-            .iter()
-            .map(|&v| v.round() as u64)
-            .collect();
-        let scalar_secs = best_secs(repeats, || {
-            let mut out = vec![0i64; n * mz_bins];
-            let mut column = vec![0u64; n];
-            for mz in 0..mz_bins {
-                for (d, c) in column.iter_mut().enumerate() {
-                    *c = sparse_block[d * mz_bins + mz];
-                }
-                for (d, v) in core.deconvolve_column(&column).into_iter().enumerate() {
-                    out[d * mz_bins + mz] = v;
-                }
-            }
-            std::hint::black_box(out);
-        });
-        record(
-            "fixed-point",
-            "sparse-scalar",
-            1,
-            1,
-            scalar_secs,
-            scalar_secs,
-        );
-        let csr = htims::fpga::SparseBlock::from_dense(&sparse_block, n, mz_bins);
-        let mut sparse_core = DeconvCore::new(&seq, DeconvConfig::default());
-        let secs = best_secs(repeats, || {
-            std::hint::black_box(sparse_core.deconvolve_block_sparse(&csr));
-        });
-        record("fixed-point", "sparse-skip", 1, fp_width, secs, scalar_secs);
-    }
-
-    // Schema v3: `provenance` (with the dispatched SIMD backend and the
-    // sparse/dense decision) makes BENCH_*.json files comparable across
-    // PRs — which tree built the binary, which kernels actually ran.
+    // `provenance` (with the dispatched SIMD backend) makes BENCH_*.json
+    // files comparable across changes — which tree built the binary,
+    // which kernels actually ran.
     let report = serde_json::json!({
         "schema_version": htims::obs::OBS_SCHEMA_VERSION,
         "provenance": htims::obs::Provenance::collect(
             threads.last().copied().unwrap_or(1),
             htims::core::deconv_batch::DEFAULT_PANEL_WIDTH,
         )
-        .with_simd(htims::signal::simd::active_name())
-        .with_sparse(if sparse_enabled { "sparse+dense" } else { "dense" }),
+        .with_simd(htims::signal::simd::active_name()),
         "block": serde_json::json!({
             "drift_bins": n,
             "mz_bins": mz_bins,
             "frames": frames,
-            "sparse_occupancy": sparse_occupancy,
         }),
         "rows": rows,
     });
@@ -1553,12 +1439,7 @@ fn bench_deconv(args: &[String]) {
         suite_threads,
         htims::core::deconv_batch::DEFAULT_PANEL_WIDTH,
     )
-    .with_simd(htims::signal::simd::active_name())
-    .with_sparse(if sparse_enabled {
-        "sparse+dense"
-    } else {
-        "dense"
-    });
+    .with_simd(htims::signal::simd::active_name());
     let fingerprint = ims_obs::config_fingerprint(&ims_obs::FingerprintParts {
         drift_bins: n,
         mz_bins,

@@ -55,6 +55,17 @@ fn every_executor_backend_shard_and_binning_cell_matches_the_reference() {
             }
         }
     }
+    // 300 m/z columns are two full fixed-point panels plus a partial one,
+    // so the software backend takes its multi-panel paths: serial
+    // (threads 1), and slabs over the shared or a private pool.
+    for threads in [0, 1, 2, 3] {
+        assert_matches_reference(&GraphSpec {
+            backend: "software".into(),
+            mz: 300,
+            threads,
+            ..GraphSpec::small()
+        });
+    }
 }
 
 #[test]
@@ -102,6 +113,32 @@ fn retired_threaded_executor_is_an_error_in_specs_and_manifests() {
     std::fs::write(&path, serde_json::to_string(&manifest).unwrap()).unwrap();
     let err = replay(&dir_str).unwrap_err();
     assert!(err.contains("scheduled | inline"), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn manifests_with_the_retired_sparse_flag_still_replay() {
+    // Capture logs written while the sparse sidecar existed carry
+    // `"sparse": false|true` in their manifest's spec; the key is ignored
+    // and the log replays to its recorded fingerprint.
+    let dir = std::env::temp_dir().join(format!("htims_sparse_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_str = dir.to_string_lossy().into_owned();
+    GraphSpec {
+        capture_log: Some(dir_str.clone()),
+        ..GraphSpec::small()
+    }
+    .run()
+    .unwrap();
+    let path = dir.join("manifest.json");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let spec_at = text.find("\"spec\"").expect("manifest has a spec");
+    let open = spec_at + text[spec_at..].find('{').expect("spec is an object") + 1;
+    let legacy = format!("{}\"sparse\": true, {}", &text[..open], &text[open..]);
+    std::fs::write(&path, legacy).unwrap();
+    let outcome = replay(&dir_str).expect("legacy manifest replays");
+    assert_eq!(outcome.expected_fnv, SMALL_FNV);
+    assert_eq!(outcome.actual_fnv, SMALL_FNV);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
