@@ -3,12 +3,6 @@
 pub mod e10_detectors;
 pub mod e11_ablation;
 pub mod e12_dynamic;
-pub mod e13_msms;
-pub mod e14_lcms;
-pub mod e15_masscal;
-pub mod e16_dda;
-pub mod e17_format;
-pub mod e18_variants;
 pub mod e1_snr_gain;
 pub mod e2_fidelity;
 pub mod e3_throughput;
@@ -22,7 +16,7 @@ mod smoke_tests;
 
 use crate::table::Table;
 
-/// Runs one experiment by id ("e1".."e10"). `quick` shrinks workloads for
+/// Runs one experiment by id ("e1".."e12"); `None` for an unknown id. `quick` shrinks workloads for
 /// smoke testing.
 pub fn run(id: &str, quick: bool) -> Option<Table> {
     Some(match id {
@@ -38,20 +32,13 @@ pub fn run(id: &str, quick: bool) -> Option<Table> {
         "e10" => e10_detectors::run(quick),
         "e11" => e11_ablation::run(quick),
         "e12" => e12_dynamic::run(quick),
-        "e13" => e13_msms::run(quick),
-        "e14" => e14_lcms::run(quick),
-        "e15" => e15_masscal::run(quick),
-        "e16" => e16_dda::run(quick),
-        "e17" => e17_format::run(quick),
-        "e18" => e18_variants::run(quick),
         _ => return None,
     })
 }
 
 /// All experiment ids in order.
-pub const ALL: [&str; 18] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e16", "e17", "e18",
+pub const ALL: [&str; 12] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12",
 ];
 
 pub(crate) mod common {

@@ -139,38 +139,6 @@ impl Default for AcquireOptions {
     }
 }
 
-/// One physical signal component: ions that drift like `drift_species`
-/// (setting the arrival-time distribution) but are mass-analysed as
-/// `tof_species` (setting the m/z profile). For ordinary MS acquisition the
-/// two are the same ion; in multiplexed CID the drift species is the
-/// precursor and the TOF species is a fragment — fragmentation happens
-/// *after* the mobility separation, so fragments inherit precursor drift.
-#[derive(Debug, Clone)]
-pub struct SignalComponent {
-    /// Species governing drift behaviour.
-    pub drift_species: ims_physics::IonSpecies,
-    /// Species governing the TOF (m/z) profile.
-    pub tof_species: ims_physics::IonSpecies,
-    /// Ion rate delivered to the gate, ions/s.
-    pub rate: f64,
-}
-
-/// Expands a workload into its (trivial) signal components via the ESI
-/// source model.
-pub fn workload_components(instrument: &Instrument, workload: &Workload) -> Vec<SignalComponent> {
-    let rates = instrument.esi.ion_rates(&workload.species);
-    workload
-        .species
-        .iter()
-        .zip(rates.iter())
-        .map(|(sp, &rate)| SignalComponent {
-            drift_species: sp.clone(),
-            tof_species: sp.clone(),
-            rate,
-        })
-        .collect()
-}
-
 /// One acquired (accumulated) data block plus everything needed to process
 /// and score it.
 #[derive(Debug, Clone)]
@@ -211,24 +179,6 @@ pub fn acquire(
     options: AcquireOptions,
     rng: &mut impl Rng,
 ) -> AcquiredData {
-    let components = workload_components(instrument, workload);
-    acquire_components(instrument, &components, schedule, frames, options, rng)
-}
-
-/// Runs an acquisition over explicit signal components (the general entry
-/// point; MS/MS acquisition in [`crate::msms`] builds CID-expanded
-/// component lists).
-///
-/// # Panics
-/// Panics if the schedule length does not match `instrument.drift_bins`.
-pub fn acquire_components(
-    instrument: &Instrument,
-    components: &[SignalComponent],
-    schedule: &GateSchedule,
-    frames: u64,
-    options: AcquireOptions,
-    rng: &mut impl Rng,
-) -> AcquiredData {
     let bits = schedule.bits();
     let l = bits.len();
     assert_eq!(
@@ -238,9 +188,12 @@ pub fn acquire_components(
     );
     let bin_s = instrument.bin_width_s;
     let transmission = instrument.gate.transmission_waveform(&bits);
-    let charge_rate: f64 = components
+    let species = &workload.species;
+    let rates = instrument.esi.ion_rates(species);
+    let charge_rate: f64 = species
         .iter()
-        .map(|c| c.rate * c.drift_species.charge as f64)
+        .zip(&rates)
+        .map(|(sp, &rate)| rate * sp.charge as f64)
         .sum();
 
     // Collected-time vector τ[k] (seconds of beam folded into fine bin k).
@@ -301,18 +254,14 @@ pub fn acquire_components(
     // Per-frame expectation and truth.
     let mut expected = DriftTofMap::zeros(l, instrument.tof.n_bins);
     let mut truth = DriftTofMap::zeros(l, instrument.tof.n_bins);
-    for component in components {
-        let rate = component.rate;
+    for (sp, &rate) in species.iter().zip(&rates) {
         if rate <= 0.0 {
             continue;
         }
-        let arrival = instrument.tube.arrival_distribution(
-            &component.drift_species,
-            packet_charges,
-            l,
-            bin_s,
-        );
-        let mz_profile = instrument.tof.species_profile(&component.tof_species);
+        let arrival = instrument
+            .tube
+            .arrival_distribution(sp, packet_charges, l, bin_s);
+        let mz_profile = instrument.tof.species_profile(sp);
         let mz_sparse: Vec<(usize, f64)> = mz_profile
             .iter()
             .enumerate()
@@ -322,15 +271,14 @@ pub fn acquire_components(
         if mz_sparse.is_empty() {
             continue;
         }
-        // Ions released from fine bin k per frame for this component.
+        // Ions released from fine bin k per frame for this species.
         let release: Vec<f64> = effective_kernel.iter().map(|&h| h * rate * bin_s).collect();
         let drift_signal = circular_convolve_fft(&release, &arrival);
         expected.add_outer_sparse(&drift_signal, &mz_sparse, 1.0);
         truth.add_outer_sparse(&arrival, &mz_sparse, rate * bin_s);
     }
 
-    let source_ions_per_frame: f64 =
-        components.iter().map(|c| c.rate).sum::<f64>() * l as f64 * bin_s;
+    let source_ions_per_frame: f64 = rates.iter().sum::<f64>() * l as f64 * bin_s;
     let ion_utilization = if source_ions_per_frame > 0.0 {
         expected.total() / source_ions_per_frame
     } else {

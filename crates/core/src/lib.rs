@@ -59,21 +59,16 @@
 
 pub mod acquisition;
 pub mod analysis;
-pub mod calibration;
 pub mod capture;
 pub mod config;
-pub mod dda;
 pub mod deconv_batch;
 pub mod deconvolution;
 pub mod dynamic;
 pub mod fault;
-pub mod format;
 pub mod graph;
 pub mod hybrid;
 pub mod kernel;
-pub mod lcms;
 pub mod metrics;
-pub mod msms;
 pub mod parallel;
 pub mod pipeline;
 

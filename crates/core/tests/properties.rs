@@ -84,37 +84,6 @@ proptest! {
     }
 
     #[test]
-    fn storage_formats_round_trip_arbitrary_maps(
-        dn in 1usize..12,
-        mn in 1usize..20,
-        seed in 0u64..1000,
-        fill_mod in 1usize..10,
-    ) {
-        use htims_core::format::{quantise_f32, StoredBlock};
-        let mut map = DriftTofMap::zeros(dn, mn);
-        for (i, v) in map.data_mut().iter_mut().enumerate() {
-            // Mix of zeros and positive values.
-            if (i as u64).wrapping_mul(seed + 1).is_multiple_of(fill_mod as u64) {
-                *v = ((i as u64 ^ seed) % 100_000) as f64 / 7.0;
-            }
-        }
-        let block = StoredBlock {
-            frames: seed,
-            bin_width_s: 1e-4,
-            mz_min: 200.0,
-            mz_max: 2200.0,
-            map,
-        };
-        let expect = quantise_f32(&block.map);
-        let dense = StoredBlock::from_binary(block.to_binary_dense()).unwrap();
-        prop_assert_eq!(dense.map.data(), expect.data());
-        let sparse = StoredBlock::from_binary(block.to_binary_sparse()).unwrap();
-        prop_assert_eq!(sparse.map.data(), expect.data());
-        let json = StoredBlock::from_json(&block.to_json()).unwrap();
-        prop_assert_eq!(json, block);
-    }
-
-    #[test]
     fn kernel_similarity_is_scale_invariant(seed in 1u64..500, n in 3usize..40, scale in 0.1..50.0f64) {
         use htims_core::kernel::kernel_similarity;
         let a: Vec<f64> = (0..n).map(|i| (((i as u64 + seed) % 13) + 1) as f64).collect();

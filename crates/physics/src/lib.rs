@@ -42,16 +42,13 @@ pub mod coulomb;
 pub mod detector;
 pub mod drift;
 pub mod esi;
-pub mod fragment;
 pub mod funnel;
 pub mod gate;
 pub mod instrument;
 pub mod ion;
 pub mod isotope;
-pub mod lc;
 pub mod map2d;
 pub mod mobility;
-pub mod modification;
 pub mod peptide;
 pub mod tof;
 pub mod workload;

@@ -11,45 +11,6 @@ use crate::ion::IonSpecies;
 use crate::isotope::averagine_envelope;
 use serde::{Deserialize, Serialize};
 
-/// Systematic mass-measurement error of a (miscalibrated) TOF: the
-/// measured m/z deviates from the true one by
-/// `offset_ppm + slope_ppm·(m/z − 1000)/1000` parts per million — the
-/// drifting-calibration model the regression-recalibration companion paper
-/// removes (entry 47).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MassError {
-    /// Constant error, ppm.
-    pub offset_ppm: f64,
-    /// m/z-dependent error, ppm per 1000 Th away from m/z 1000.
-    pub slope_ppm: f64,
-}
-
-impl MassError {
-    /// A perfectly calibrated analyser.
-    pub fn none() -> Self {
-        Self {
-            offset_ppm: 0.0,
-            slope_ppm: 0.0,
-        }
-    }
-
-    /// The systematic error at a given true m/z, ppm.
-    pub fn ppm_at(&self, mz: f64) -> f64 {
-        self.offset_ppm + self.slope_ppm * (mz - 1000.0) / 1000.0
-    }
-
-    /// The measured (distorted) m/z for a true m/z.
-    pub fn distort(&self, mz: f64) -> f64 {
-        mz * (1.0 + self.ppm_at(mz) * 1e-6)
-    }
-}
-
-impl Default for MassError {
-    fn default() -> Self {
-        Self::none()
-    }
-}
-
 /// Orthogonal-TOF mass analyser with a uniform m/z grid.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TofAnalyzer {
@@ -63,8 +24,6 @@ pub struct TofAnalyzer {
     pub resolving_power: f64,
     /// Maximum isotope peaks modelled per species.
     pub max_isotopes: usize,
-    /// Systematic calibration error applied to every recorded m/z.
-    pub mass_error: MassError,
 }
 
 impl Default for TofAnalyzer {
@@ -75,7 +34,6 @@ impl Default for TofAnalyzer {
             n_bins: 2000,
             resolving_power: 5000.0,
             max_isotopes: 6,
-            mass_error: MassError::none(),
         }
     }
 }
@@ -111,10 +69,8 @@ impl TofAnalyzer {
             if frac <= 0.0 {
                 continue;
             }
-            // Isotopes are spaced ~1.00235 Da apart (averaged C/N spacing);
-            // the analyser records them at the (mis)calibrated position.
-            let true_mz = (species.mass_da + iso as f64 * 1.002_35 + z * PROTON_MASS_DA) / z;
-            let mz = self.mass_error.distort(true_mz);
+            // Isotopes are spaced ~1.00235 Da apart (averaged C/N spacing).
+            let mz = (species.mass_da + iso as f64 * 1.002_35 + z * PROTON_MASS_DA) / z;
             if mz < self.mz_min || mz >= self.mz_max {
                 continue;
             }
@@ -202,39 +158,6 @@ mod tests {
         let far = peptide(1001.0, 1);
         assert!(!tof.resolves(&a, &close));
         assert!(tof.resolves(&a, &far));
-    }
-
-    #[test]
-    fn mass_error_shifts_recorded_peaks() {
-        let mut tof = TofAnalyzer {
-            n_bins: 20_000, // 0.1 Th bins so a 200 ppm shift is resolvable
-            ..Default::default()
-        };
-        tof.mass_error = MassError {
-            offset_ppm: 200.0,
-            slope_ppm: 0.0,
-        };
-        let sp = peptide(1000.0, 1);
-        let profile = tof.species_profile(&sp);
-        let (apex, _) = ims_signal::stats::argmax(&profile).unwrap();
-        let apex_mz = tof.mz_of(apex);
-        let expect = sp.mz() * (1.0 + 200e-6);
-        assert!(
-            (apex_mz - expect).abs() < 2.0 * tof.bin_width(),
-            "apex {apex_mz} vs distorted {expect}"
-        );
-    }
-
-    #[test]
-    fn mass_error_model_is_linear_in_mz() {
-        let e = MassError {
-            offset_ppm: 3.0,
-            slope_ppm: 4.0,
-        };
-        assert!((e.ppm_at(1000.0) - 3.0).abs() < 1e-12);
-        assert!((e.ppm_at(2000.0) - 7.0).abs() < 1e-12);
-        assert!((e.ppm_at(500.0) - 1.0).abs() < 1e-12);
-        assert_eq!(MassError::none().distort(1234.5), 1234.5);
     }
 
     #[test]

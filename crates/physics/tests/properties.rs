@@ -1,9 +1,7 @@
 //! Property-based tests of the instrument physics.
 
-use ims_physics::fragment::{by_ladder, CidCell, FragmentKind};
 use ims_physics::funnel::IonFunnelTrap;
 use ims_physics::isotope::averagine_envelope;
-use ims_physics::lc::LcGradient;
 use ims_physics::map2d::DriftTofMap;
 use ims_physics::peptide::{synthetic_protein, tryptic_digest, Peptide, WATER};
 use ims_physics::{DriftTube, IonSpecies};
@@ -123,59 +121,6 @@ proptest! {
         let mut sparse = DriftTofMap::zeros(dn, mn);
         sparse.add_outer_sparse(&drift, &pairs, 2.5);
         prop_assert_eq!(dense.data(), sparse.data());
-    }
-
-    #[test]
-    fn by_ladder_invariants(seed in 0u64..1000, len in 2usize..30) {
-        let protein = synthetic_protein(seed, len);
-        let pep = Peptide::new(&protein);
-        let frags = by_ladder(&pep);
-        prop_assert_eq!(frags.len(), 2 * (len - 1));
-        // Intensities form a distribution.
-        let total: f64 = frags.iter().map(|f| f.intensity).sum();
-        prop_assert!((total - 1.0).abs() < 1e-9);
-        // Complementarity: b_i + y_{n-i} = M + 2 protons, every bond.
-        let m = pep.monoisotopic_mass();
-        for i in 1..len {
-            let b = frags.iter().find(|f| f.kind == FragmentKind::B && f.index == i).unwrap();
-            let y = frags.iter().find(|f| f.kind == FragmentKind::Y && f.index == len - i).unwrap();
-            prop_assert!((b.mz + y.mz - (m + 2.0 * 1.007_276_466)).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn cid_budget_conserved(seed in 0u64..500, efficiency in 0.0..1.0f64, transmission in 0.1..1.0f64) {
-        let protein = synthetic_protein(seed, 12);
-        let pep = Peptide::new(&protein);
-        let precursor = &pep.to_species(1.0)[0];
-        let cell = CidCell { efficiency, transmission };
-        let products = cell.products(precursor, &pep);
-        let total: f64 = products.iter().map(|(_, w)| w).sum();
-        prop_assert!((total - transmission).abs() < 1e-9, "budget {total}");
-        prop_assert!(products.iter().all(|(_, w)| *w >= 0.0));
-    }
-
-    #[test]
-    fn retention_times_inside_gradient(seed in 0u64..1000, len in 4usize..40) {
-        let protein = synthetic_protein(seed, len);
-        let pep = Peptide::new(&protein);
-        let g = LcGradient::default();
-        let rt = g.retention_time_s(&pep);
-        prop_assert!(rt > 0.0 && rt < 1.05 * g.duration_s, "rt {rt}");
-        // The elution factor is maximal at the retention time.
-        let apex = g.elution_factor(&pep, rt);
-        prop_assert!((apex - 1.0).abs() < 1e-9);
-        prop_assert!(g.elution_factor(&pep, rt + 30.0) < apex);
-    }
-
-    #[test]
-    fn mean_elution_bounded_by_apex(seed in 0u64..300, t0 in 0.0..800.0f64, width in 1.0..200.0f64) {
-        let protein = synthetic_protein(seed, 10);
-        let pep = Peptide::new(&protein);
-        let g = LcGradient::default();
-        let f = g.mean_elution_factor(&pep, t0, t0 + width);
-        prop_assert!(f >= 0.0);
-        prop_assert!(f <= 1.0 + 1e-9, "mean factor {f} exceeds apex");
     }
 
     #[test]

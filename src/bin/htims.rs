@@ -28,7 +28,20 @@ use rand_chacha::ChaCha8Rng;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(String::as_str).unwrap_or("help");
-    match command {
+    if matches!(command, "help" | "--help" | "-h") {
+        help();
+        return;
+    }
+    // `bench` names its target in the second word.
+    let words = if command == "bench" { 2 } else { 1 };
+    let name = args[..words.min(args.len())].join(" ");
+    let Some(accepted) = flag_set(&name) else {
+        eprintln!("unknown command '{name}'\n");
+        help();
+        std::process::exit(2);
+    };
+    let positionals = check_args(&name, &args[words.min(args.len())..], &accepted);
+    match name.as_str() {
         "print-config" => print_config(),
         "run" => run(&args),
         "sequence" => sequence(&args),
@@ -38,8 +51,9 @@ fn main() {
         "serve" => serve(&args),
         "top" => top(&args),
         "chaos" => chaos(&args),
-        "bench" => bench(&args),
-        _ => help(),
+        "bench deconv" => bench_deconv(&args),
+        "bench compare" => bench_compare(&args, &positionals),
+        _ => unreachable!("flag_set accepted '{name}'"),
     }
 }
 
@@ -57,7 +71,7 @@ fn help() {
          htims serve [pipeline flags] [--duration <2s|500ms>] [--port <n>]\n    \
          [--sample-ms <n>] [--series <file.jsonl>] [--sessions <n>] [--max-sessions <n>]\n  \
          htims top [--host <addr>] [--port <n>] [--interval <1s|500ms>] [--iterations <n>]\n  \
-         htims chaos [pipeline flags] [--seeds <a,b,...>] [--matrix <spec;spec;...>]\n    \
+         htims chaos [pipeline flags but --faults] [--seeds <a,b,...>] [--matrix <spec;spec;...>]\n    \
          [--out <survival.json>] [--strict]\n  \
          htims bench deconv [--quick] [--json] [--out <file.json>]\n    \
          [--threads <a,b,...>]\n  \
@@ -68,11 +82,139 @@ fn help() {
     );
 }
 
+/// The stage-graph flags `parse_graph` reads (`pipeline|trace|serve|chaos`).
+const GRAPH_FLAGS: &[&str] = &[
+    "--degree",
+    "--mz",
+    "--frames",
+    "--blocks",
+    "--depth",
+    "--backend",
+    "--threads",
+    "--coarse",
+    "--executor",
+    "--seed",
+    "--faults",
+    "--stall-timeout",
+    "--slo",
+    "--flight-dir",
+    "--profile",
+    "--shards",
+    "--capture-log",
+];
+
+/// What one subcommand accepts on its command line.
+struct FlagSet {
+    /// Flags followed by a value.
+    values: Vec<&'static str>,
+    /// Flags that stand alone.
+    switches: Vec<&'static str>,
+    /// Bare arguments after the subcommand.
+    positionals: usize,
+}
+
+/// The flag set of every subcommand, in one place; `None` for an
+/// unknown subcommand.
+fn flag_set(command: &str) -> Option<FlagSet> {
+    let graph = |extra: &[&'static str]| [GRAPH_FLAGS, &["--ledger"], extra].concat();
+    let ledger = |extra: &[&'static str]| [&["--no-ledger"], extra].concat();
+    let (values, switches, positionals) = match command {
+        "print-config" => (vec![], vec![], 0),
+        "run" => (vec!["--config", "--out"], vec![], 0),
+        "sequence" => (vec!["--degree", "--factor"], vec![], 0),
+        "feasibility" => (vec!["--degree", "--mz"], vec![], 0),
+        "pipeline" => (graph(&["--out", "--replay"]), ledger(&[]), 0),
+        "trace" => (graph(&["--out", "--metrics"]), ledger(&[]), 0),
+        "serve" => (
+            graph(&[
+                "--duration",
+                "--port",
+                "--sample-ms",
+                "--sessions",
+                "--max-sessions",
+                "--series",
+            ]),
+            ledger(&[]),
+            0,
+        ),
+        // The matrix supplies each chaos cell's fault spec.
+        "chaos" => (
+            graph(&["--seeds", "--matrix", "--out"])
+                .into_iter()
+                .filter(|&f| f != "--faults")
+                .collect(),
+            ledger(&["--strict"]),
+            0,
+        ),
+        "top" => (
+            vec!["--host", "--port", "--interval", "--iterations"],
+            vec![],
+            0,
+        ),
+        "bench deconv" => (
+            vec!["--threads", "--out", "--ledger"],
+            ledger(&["--quick", "--json"]),
+            0,
+        ),
+        "bench compare" => (vec!["--max-regress-pct", "--out"], vec![], 2),
+        _ => return None,
+    };
+    Some(FlagSet {
+        values,
+        switches,
+        positionals,
+    })
+}
+
+/// Checks the arguments after `command` against its flag set and returns
+/// the bare ones. Exits 2, naming the offender, on an unknown flag, a
+/// flag missing its value, or a surplus bare argument.
+fn check_args(command: &str, rest: &[String], accepted: &FlagSet) -> Vec<String> {
+    let fail = |msg: String| -> ! {
+        eprintln!("htims {command}: {msg} (see `htims help`)");
+        std::process::exit(2);
+    };
+    let mut positionals = Vec::new();
+    let mut i = 0;
+    while i < rest.len() {
+        let a = rest[i].as_str();
+        if accepted.values.contains(&a) {
+            match rest.get(i + 1) {
+                Some(v) if !v.starts_with("--") => i += 2,
+                _ => fail(format!("{a} needs a value")),
+            }
+        } else if accepted.switches.contains(&a) {
+            i += 1;
+        } else if a.starts_with("--") {
+            fail(format!("unknown flag {a}"));
+        } else if positionals.len() < accepted.positionals {
+            positionals.push(a.to_string());
+            i += 1;
+        } else {
+            fail(format!("unexpected argument '{a}'"));
+        }
+    }
+    positionals
+}
+
+/// The value after flag `name`, if present (`check_args` has already
+/// made sure every value flag has one).
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1))
         .cloned()
+}
+
+/// Flag `name`'s value parsed as `T`, `None` when the flag is absent.
+/// Exits 2 naming the flag when the value does not parse.
+fn parsed<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
+    flag(args, name).map(|v| {
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("bad {name} value '{v}'");
+            std::process::exit(2);
+        })
+    })
 }
 
 /// Process-wide shutdown flag, flipped by SIGINT/SIGTERM so the long-
@@ -209,12 +351,8 @@ fn run(args: &[String]) {
 }
 
 fn sequence(args: &[String]) {
-    let degree: u32 = flag(args, "--degree")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(9);
-    let factor: usize = flag(args, "--factor")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+    let degree: u32 = parsed(args, "--degree").unwrap_or(9);
+    let factor: usize = parsed(args, "--factor").unwrap_or(1);
     let seq = MSequence::new(degree);
     println!(
         "m-sequence: degree {degree}, N = {}, polynomial {}",
@@ -249,32 +387,32 @@ fn sequence(args: &[String]) {
 /// (the flag set shared by `htims pipeline|trace|serve`, including
 /// `--seed` so traces and ledger lines are reproducible end-to-end).
 fn parse_graph(mut spec: GraphSpec, args: &[String]) -> GraphSpec {
-    if let Some(v) = flag(args, "--degree").and_then(|v| v.parse().ok()) {
+    if let Some(v) = parsed(args, "--degree") {
         spec.degree = v;
     }
-    if let Some(v) = flag(args, "--mz").and_then(|v| v.parse().ok()) {
+    if let Some(v) = parsed(args, "--mz") {
         spec.mz = v;
     }
-    if let Some(v) = flag(args, "--frames").and_then(|v| v.parse().ok()) {
+    if let Some(v) = parsed(args, "--frames") {
         spec.frames = v;
     }
-    if let Some(v) = flag(args, "--blocks").and_then(|v| v.parse::<usize>().ok()) {
+    if let Some(v) = parsed::<usize>(args, "--blocks") {
         spec.blocks = v.max(1);
     }
-    if let Some(v) = flag(args, "--depth").and_then(|v| v.parse().ok()) {
+    if let Some(v) = parsed(args, "--depth") {
         spec.depth = v;
     }
     if let Some(v) = flag(args, "--backend") {
         spec.backend = v;
     }
-    if let Some(v) = flag(args, "--threads").and_then(|v| v.parse().ok()) {
+    if let Some(v) = parsed(args, "--threads") {
         spec.threads = v;
     }
-    spec.coarse = flag(args, "--coarse").and_then(|v| v.parse().ok());
+    spec.coarse = parsed(args, "--coarse");
     if let Some(v) = flag(args, "--executor") {
         spec.executor = v;
     }
-    if let Some(v) = flag(args, "--seed").and_then(|v| v.parse().ok()) {
+    if let Some(v) = parsed(args, "--seed") {
         spec.seed = v;
     }
     if let Some(v) = flag(args, "--faults") {
@@ -296,7 +434,7 @@ fn parse_graph(mut spec: GraphSpec, args: &[String]) -> GraphSpec {
     if let Some(v) = flag(args, "--profile") {
         spec.profile_dir = (!v.is_empty()).then_some(v);
     }
-    if let Some(v) = flag(args, "--shards").and_then(|v| v.parse().ok()) {
+    if let Some(v) = parsed(args, "--shards") {
         spec.shards = v;
     }
     if let Some(v) = flag(args, "--capture-log") {
@@ -606,20 +744,10 @@ fn serve(args: &[String]) {
             })
         })
         .unwrap_or(std::time::Duration::from_secs(10));
-    let port: u16 = flag(args, "--port")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(9464);
-    let sample_ms: u64 = flag(args, "--sample-ms")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
-    let sessions: usize = flag(args, "--sessions")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1);
-    let max_sessions: usize = flag(args, "--max-sessions")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(sessions)
-        .max(1);
+    let port: u16 = parsed(args, "--port").unwrap_or(9464);
+    let sample_ms: u64 = parsed(args, "--sample-ms").unwrap_or(200);
+    let sessions: usize = parsed(args, "--sessions").unwrap_or(1).max(1);
+    let max_sessions: usize = parsed(args, "--max-sessions").unwrap_or(sessions).max(1);
     let provenance = htims::obs::Provenance::collect(
         spec.resolved_threads(),
         htims::core::deconv_batch::DEFAULT_PANEL_WIDTH,
@@ -890,9 +1018,7 @@ fn finish_session(
 /// the exporter is unreachable on the very first poll.
 fn top(args: &[String]) {
     let host = flag(args, "--host").unwrap_or_else(|| "127.0.0.1".into());
-    let port: u16 = flag(args, "--port")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(9464);
+    let port: u16 = parsed(args, "--port").unwrap_or(9464);
     let interval = flag(args, "--interval")
         .map(|v| {
             parse_duration(&v).unwrap_or_else(|| {
@@ -901,9 +1027,7 @@ fn top(args: &[String]) {
             })
         })
         .unwrap_or(std::time::Duration::from_secs(1));
-    let iterations: u64 = flag(args, "--iterations")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
+    let iterations: u64 = parsed(args, "--iterations").unwrap_or(0);
     install_signal_handlers();
     let addr = format!("{host}:{port}");
 
@@ -1109,7 +1233,6 @@ fn chaos(args: &[String]) {
         },
         args,
     );
-    base.faults = None; // the matrix supplies each cell's spec
     if base.shards == 0 {
         // Shard the accumulator so the matrix's `shard.kill` cells have
         // several independent victims (merged output is bit-identical, so
@@ -1209,20 +1332,6 @@ fn parse_duration(text: &str) -> Option<std::time::Duration> {
 /// All engines produce bit-identical output; only the schedule of the
 /// arithmetic differs. `speedup_vs_scalar` is relative to the same method's
 /// scalar-column row.
-fn bench(args: &[String]) {
-    match args.get(1).map(String::as_str) {
-        Some("deconv") => bench_deconv(args),
-        Some("compare") => bench_compare(args),
-        other => {
-            eprintln!(
-                "unknown bench target {:?} (use `deconv` or `compare`)",
-                other.unwrap_or("<none>")
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
 fn bench_deconv(args: &[String]) {
     let bench_started = std::time::Instant::now();
     let quick = args.iter().any(|a| a == "--quick");
@@ -1464,34 +1573,12 @@ fn bench_deconv(args: &[String]) {
 /// machine-readable verdict is emitted (stdout, or `--out <file>`), and
 /// the exit code is 1 when any matched row regresses by more than
 /// `--max-regress-pct` (default 10).
-fn bench_compare(args: &[String]) {
-    let positional: Vec<&String> = {
-        // Skip flag names and their values; what remains are the two
-        // report paths.
-        let mut out = Vec::new();
-        let mut i = 2;
-        while i < args.len() {
-            let a = &args[i];
-            if a == "--max-regress-pct" || a == "--out" || a == "--ledger" {
-                i += 2;
-                continue;
-            }
-            if a.starts_with("--") {
-                i += 1;
-                continue;
-            }
-            out.push(a);
-            i += 1;
-        }
-        out
-    };
-    let [baseline_path, candidate_path] = positional.as_slice() else {
+fn bench_compare(args: &[String], positionals: &[String]) {
+    let [baseline_path, candidate_path] = positionals else {
         eprintln!("usage: htims bench compare <baseline.json> <candidate.json> [--max-regress-pct <n>] [--out <verdict.json>]");
         std::process::exit(2);
     };
-    let max_regress_pct: f64 = flag(args, "--max-regress-pct")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10.0);
+    let max_regress_pct: f64 = parsed(args, "--max-regress-pct").unwrap_or(10.0);
 
     let baseline = load_bench_rows(baseline_path);
     let candidate = load_bench_rows(candidate_path);
@@ -1708,12 +1795,8 @@ fn thread_sweep(quick: bool) -> Vec<usize> {
 }
 
 fn feasibility(args: &[String]) {
-    let degree: u32 = flag(args, "--degree")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(9);
-    let mz: usize = flag(args, "--mz")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100);
+    let degree: u32 = parsed(args, "--degree").unwrap_or(9);
+    let mz: usize = parsed(args, "--mz").unwrap_or(100);
     let n = (1usize << degree) - 1;
     let seq = MSequence::new(degree);
     let acc = AccumulatorCore::new(n, mz, 32);

@@ -1,8 +1,10 @@
 //! Integration: experiment configs serialise, rebuild the exact same
 //! simulation objects, and drive reproducible acquisitions.
 
-use htims::core::acquisition::acquire;
+use htims::core::acquisition::{acquire, AcquireOptions, GateSchedule};
 use htims::core::config::{ExperimentConfig, ScheduleSpec, WorkloadSpec};
+use htims::fpga::dma::fnv1a64;
+use htims::physics::{DriftTofMap, Instrument, Workload};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -99,4 +101,34 @@ fn different_seeds_produce_different_noise() {
     // But the deterministic parts agree.
     assert_eq!(a.effective_kernel, b.effective_kernel);
     assert_eq!(a.expected.data(), b.expected.data());
+}
+
+/// FNV-1a 64 over the little-endian `f64` bits of the `accumulated`,
+/// `expected` and `truth` maps of one seeded three-peptide acquisition:
+/// pins the forward model and its RNG draw order bit for bit.
+const ACQUIRE_FNVS: [u64; 3] = [
+    16153124428774028205,
+    7538232162518839568,
+    11915355710796140583,
+];
+
+fn map_fnv(map: &DriftTofMap) -> u64 {
+    let bytes: Vec<u8> = map.data().iter().flat_map(|v| v.to_le_bytes()).collect();
+    fnv1a64(&bytes)
+}
+
+#[test]
+fn acquire_keeps_its_golden_fingerprints() {
+    let mut inst = Instrument::with_drift_bins(63);
+    inst.tof.n_bins = 300;
+    let data = acquire(
+        &inst,
+        &Workload::three_peptide_mix(),
+        &GateSchedule::multiplexed(6),
+        12,
+        AcquireOptions::default(),
+        &mut ChaCha8Rng::seed_from_u64(20_240_917),
+    );
+    let fnvs = [&data.accumulated, &data.expected, &data.truth].map(map_fnv);
+    assert_eq!(fnvs, ACQUIRE_FNVS);
 }
